@@ -124,7 +124,13 @@ pub struct Engine {
     /// Observability sink shared with every browser this engine spawns.
     /// `ObsSink::Null` (the default) is inert: no events, no RNG draws.
     obs: ObsSink,
+    /// The engine's own crawler user agent, built once: the probe loop
+    /// sends it on most of its requests.
+    bot_user_agent: String,
 }
+
+/// Desktop browsers a stealthy crawl request masquerades as.
+static DISGUISES: [UserAgent; 3] = [UserAgent::Firefox, UserAgent::Chrome, UserAgent::Edge];
 
 impl Engine {
     /// Instantiate an engine from its calibrated profile.
@@ -140,8 +146,20 @@ impl Engine {
         // Each engine's crawler fleet lives in its own /16.
         let base = Ipv4Sim::new(20 + (id as u8) * 10, 40 + (id as u8) * 7, 0, 0);
         let pool = IpPool::allocate(base, 16, profile.ip_pool_size, &mut pool_rng);
+        let bot_user_agent = match id {
+            EngineId::Gsb => UserAgent::Googlebot.as_str().to_string(),
+            EngineId::Ysb => {
+                "Mozilla/5.0 (compatible; YandexBot/3.0; +http://yandex.com/bots)".to_string()
+            }
+            id => format!(
+                "Mozilla/5.0 (compatible; {}-scanner/1.0; +https://{}.example/bot)",
+                id.key(),
+                id.key()
+            ),
+        };
         Engine {
             profile,
+            bot_user_agent,
             pool,
             rng: rng.fork(&format!("engine:{}", id.key())),
             captcha_provider: None,
@@ -312,27 +330,18 @@ impl Engine {
         self.pool = pool;
     }
 
+    /// Draw the user agent of one crawl request: a desktop browser's
+    /// for the profile's stealth fraction of requests, else `None`, the
+    /// engine's own bot agent.
+    fn draw_disguise(&mut self) -> Option<&'static str> {
+        self.rng
+            .chance(self.profile.stealth_fraction)
+            .then(|| self.rng.pick(&DISGUISES).as_str())
+    }
+
     fn crawler_user_agent(&mut self) -> String {
-        if self.rng.chance(self.profile.stealth_fraction) {
-            // Masquerade as a desktop browser.
-            (*self
-                .rng
-                .pick(&[UserAgent::Firefox, UserAgent::Chrome, UserAgent::Edge]))
-            .as_str()
-            .to_string()
-        } else {
-            match self.profile.id {
-                EngineId::Gsb => UserAgent::Googlebot.as_str().to_string(),
-                EngineId::Ysb => {
-                    "Mozilla/5.0 (compatible; YandexBot/3.0; +http://yandex.com/bots)".to_string()
-                }
-                id => format!(
-                    "Mozilla/5.0 (compatible; {}-scanner/1.0; +https://{}.example/bot)",
-                    id.key(),
-                    id.key()
-                ),
-            }
-        }
+        let disguise = self.draw_disguise();
+        disguise.unwrap_or(&self.bot_user_agent).to_string()
     }
 
     fn browser(&mut self, dialog_policy: DialogPolicy) -> Browser {
@@ -743,45 +752,53 @@ impl Engine {
         // from the first visit to report + 2 h.
         let burst_end = reported_at + SimDuration::from_hours(2);
         let burst_len = burst_end.since(first_visit_at).as_millis().max(1);
-        let archives = kit_probe::kit_archives(&url.host);
-        for _ in 0..budget {
-            let at = if self.rng.chance(0.9) {
-                first_visit_at + SimDuration::from_millis(self.rng.range(0..burst_len))
-            } else {
-                burst_end + SimDuration::from_secs(self.rng.range(0..79_200u64))
-            };
-            let path = kit_probe::sample_path_with_archives(
-                &site_paths,
-                &archives,
-                self.profile.kit_probing,
-                &mut self.rng,
-            );
-            let ua = self.crawler_user_agent();
-            let probing = self.profile.kit_probing
-                && kit_probe::classify_path(&path) != kit_probe::ProbeKind::Crawl;
-            let req = Request::get(Url::https(&url.host, &path)).with_user_agent(&ua);
-            let src = self.pool.draw(&mut self.rng);
-            match t.fetch(src, self.profile.id.key(), &req, at) {
-                Ok((resp, _))
-                    if probing
-                    // A 200 with zip content on a probe path is a live
-                    // kit archive: the analyst pulls the kit's source,
-                    // which exposes the payload regardless of any gate.
-                    && resp.status.is_success()
-                        && resp
-                            .headers
-                            .get("content-type")
-                            .is_some_and(|ct| ct.contains("zip")) =>
-                {
-                    let found = kit_archive_found_at.get_or_insert(at);
-                    if at < *found {
-                        *found = at;
+        if budget > 0 {
+            let archives = kit_probe::kit_archives(&url.host);
+            // One request serves the whole loop: each probe replaces its
+            // path and user agent in place.
+            let mut req = Request::get(Url::https(&url.host, "/"));
+            for _ in 0..budget {
+                let at = if self.rng.chance(0.9) {
+                    first_visit_at + SimDuration::from_millis(self.rng.range(0..burst_len))
+                } else {
+                    burst_end + SimDuration::from_secs(self.rng.range(0..79_200u64))
+                };
+                let path = kit_probe::sample_path_with_archives(
+                    &site_paths,
+                    &archives,
+                    self.profile.kit_probing,
+                    &mut self.rng,
+                );
+                let disguise = self.draw_disguise();
+                let probing = self.profile.kit_probing
+                    && kit_probe::classify_path(path) != kit_probe::ProbeKind::Crawl;
+                req.url.set_path(path);
+                req.headers
+                    .set("User-Agent", disguise.unwrap_or(&self.bot_user_agent));
+                let src = self.pool.draw(&mut self.rng);
+                match t.fetch(src, self.profile.id.key(), &req, at) {
+                    Ok((resp, _))
+                        if probing
+                        // A 200 with zip content on a probe path is a
+                        // live kit archive: the analyst pulls the kit's
+                        // source, which exposes the payload regardless
+                        // of any gate.
+                        && resp.status.is_success()
+                            && resp
+                                .headers
+                                .get("content-type")
+                                .is_some_and(|ct| ct.contains("zip")) =>
+                    {
+                        let found = kit_archive_found_at.get_or_insert(at);
+                        if at < *found {
+                            *found = at;
+                        }
                     }
+                    _ => {}
                 }
-                _ => {}
+                last_activity = last_activity.max(at);
+                requests += 1;
             }
-            last_activity = last_activity.max(at);
-            requests += 1;
         }
 
         // A discovered kit archive yields a detection even when the gate

@@ -66,15 +66,24 @@ pub const CREDENTIAL_STORES: &[&str] = &[
 ];
 
 /// Classify an observed request path into the probe taxonomy.
+/// Case-insensitive, and compares in place: the probe loop classifies
+/// every background request it sends.
 pub fn classify_path(path: &str) -> ProbeKind {
-    let p = path.split('?').next().unwrap_or(path).to_ascii_lowercase();
-    if WEB_SHELLS.iter().any(|s| p == *s) {
+    let p = path.split('?').next().unwrap_or(path).as_bytes();
+    let ends_with = |suffix: &str| {
+        p.len() >= suffix.len()
+            && p[p.len() - suffix.len()..].eq_ignore_ascii_case(suffix.as_bytes())
+    };
+    if WEB_SHELLS
+        .iter()
+        .any(|s| p.eq_ignore_ascii_case(s.as_bytes()))
+    {
         return ProbeKind::WebShell;
     }
-    if p.ends_with(".zip") {
+    if ends_with(".zip") {
         return ProbeKind::KitArchive;
     }
-    if p.ends_with(".txt") || p.ends_with(".log") {
+    if ends_with(".txt") || ends_with(".log") {
         return ProbeKind::CredentialStore;
     }
     ProbeKind::Crawl
@@ -88,30 +97,30 @@ pub fn sample_path(
     kit_probing: bool,
     rng: &mut DetRng,
 ) -> String {
-    sample_path_with_archives(site_paths, &kit_archives(host), kit_probing, rng)
+    sample_path_with_archives(site_paths, &kit_archives(host), kit_probing, rng).to_string()
 }
 
-/// [`sample_path`] with the host's archive candidates precomputed.
-/// High-volume probe loops (tens of thousands of requests per report)
-/// call [`kit_archives`] once and reuse the list instead of
-/// re-allocating seven strings per request. Draws the same RNG
-/// sequence as [`sample_path`], so outputs are identical.
-pub fn sample_path_with_archives(
-    site_paths: &[String],
-    archives: &[String],
+/// [`sample_path`] with the host's archive candidates precomputed,
+/// borrowing the chosen path. High-volume probe loops (tens of
+/// thousands of requests per report) call [`kit_archives`] once and
+/// copy no path per request. Draws the same RNG sequence as
+/// [`sample_path`], so outputs are identical.
+pub fn sample_path_with_archives<'a>(
+    site_paths: &'a [String],
+    archives: &'a [String],
     kit_probing: bool,
     rng: &mut DetRng,
-) -> String {
+) -> &'a str {
     if kit_probing && rng.chance(0.6) {
         match rng.range(0..3u32) {
-            0 => (*rng.pick(WEB_SHELLS)).to_string(),
-            1 => rng.pick(archives).clone(),
-            _ => (*rng.pick(CREDENTIAL_STORES)).to_string(),
+            0 => rng.pick::<&str>(WEB_SHELLS),
+            1 => rng.pick(archives).as_str(),
+            _ => rng.pick::<&str>(CREDENTIAL_STORES),
         }
     } else if site_paths.is_empty() {
-        "/".to_string()
+        "/"
     } else {
-        rng.pick(site_paths).clone()
+        rng.pick(site_paths).as_str()
     }
 }
 
@@ -128,6 +137,11 @@ mod tests {
         assert_eq!(classify_path("/visitor.log"), ProbeKind::CredentialStore);
         assert_eq!(classify_path("/articles/page.php"), ProbeKind::Crawl);
         assert_eq!(classify_path("/"), ProbeKind::Crawl);
+        // Case-insensitive, as scanners vary case.
+        assert_eq!(classify_path("/WSO.PHP"), ProbeKind::WebShell);
+        assert_eq!(classify_path("/Kit.ZIP"), ProbeKind::KitArchive);
+        assert_eq!(classify_path("/Data.Log?x=1"), ProbeKind::CredentialStore);
+        assert_eq!(classify_path("/zip"), ProbeKind::Crawl);
     }
 
     #[test]

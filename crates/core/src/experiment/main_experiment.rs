@@ -305,16 +305,14 @@ pub fn run_main_experiment(config: &MainConfig) -> MainResult {
     }
 
     // Traffic-timing analysis: fraction of each URL's host traffic
-    // within 2 h of its report.
-    let mut fractions = Vec::new();
-    for arm in &arms {
-        let f = world.log.fraction_within(
-            &arm.url.host,
-            arm.outcome.reported_at,
-            SimDuration::from_hours(2),
-        );
-        fractions.push(f);
-    }
+    // within 2 h of its report, all arms in one pass over the log.
+    let queries: Vec<(&str, SimTime)> = arms
+        .iter()
+        .map(|arm| (arm.url.host.as_str(), arm.outcome.reported_at))
+        .collect();
+    let fractions = world
+        .log
+        .fractions_within(&queries, SimDuration::from_hours(2));
     let traffic_within_2h = if fractions.is_empty() {
         0.0
     } else {

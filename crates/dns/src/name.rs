@@ -7,6 +7,7 @@
 //! extraction.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -74,7 +75,14 @@ fn valid_label(label: &str) -> bool {
 impl DomainName {
     /// Parse and validate a registrable domain (`sld.tld`).
     pub fn parse(s: &str) -> Result<Self, NameError> {
-        let lower = s.trim().trim_end_matches('.').to_ascii_lowercase();
+        let trimmed = s.trim().trim_end_matches('.');
+        // Hosts usually arrive lower-cased already (every `Url` is), so
+        // copy only when there is something to fold.
+        let lower = if trimmed.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(trimmed.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(trimmed)
+        };
         if lower.len() > 253 {
             return Err(NameError::TooLong);
         }

@@ -7,7 +7,7 @@
 //! governed by record TTLs.
 
 use crate::name::DomainName;
-use crate::records::{Record, RecordType};
+use crate::records::{Record, RecordData, RecordType, Zone};
 use crate::registry::Registry;
 use phishsim_simnet::{SimDuration, SimTime};
 use std::collections::HashMap;
@@ -36,7 +36,90 @@ pub struct ResolverResponse {
 struct CacheEntry {
     rcode: Rcode,
     answers: Vec<Record>,
+    /// Simulated time of the lookup that filled the entry.
+    cached_at: SimTime,
     expires_at: SimTime,
+}
+
+impl CacheEntry {
+    /// Whether the entry answers a query at `now`. Callers query at
+    /// out-of-order simulated times, so an entry cached *later* than
+    /// `now` describes a future state of the registry and must not
+    /// answer: a domain's NXDOMAIN cached after it dropped says nothing
+    /// about a query from while it was still registered.
+    fn live_at(&self, now: SimTime) -> bool {
+        self.cached_at <= now && now < self.expires_at
+    }
+}
+
+/// What authority says about a name at one moment.
+enum Authority<'r> {
+    /// The name is delegated to a stored zone.
+    Zone(&'r Zone),
+    /// A healthy population domain, answered without a stored zone.
+    Synthetic,
+    /// The name does not exist.
+    NxDomain,
+}
+
+impl<'r> Authority<'r> {
+    fn of(registry: &'r Registry, name: &DomainName, now: SimTime) -> Self {
+        match registry.zone(name, now) {
+            Some(zone) => Authority::Zone(zone),
+            None if registry.has_synthetic_delegation(name, now) => Authority::Synthetic,
+            None => Authority::NxDomain,
+        }
+    }
+
+    /// Whether `entry` holds exactly this answer for `rtype`, checked
+    /// by reference (synthetic answers are never confirmed, only
+    /// rebuilt).
+    fn confirms(&self, entry: &CacheEntry, rtype: RecordType) -> bool {
+        match self {
+            Authority::Zone(zone) => {
+                entry.rcode == Rcode::NoError
+                    && entry
+                        .answers
+                        .iter()
+                        .eq(zone.records.iter().filter(|r| r.data.rtype() == rtype))
+            }
+            Authority::Synthetic => false,
+            Authority::NxDomain => entry.rcode == Rcode::NxDomain,
+        }
+    }
+
+    /// The answer as owned records.
+    fn answer(&self, name: &DomainName, rtype: RecordType) -> (Rcode, Vec<Record>) {
+        match self {
+            Authority::Zone(zone) => {
+                let answers: Vec<Record> = zone.records_of(rtype).into_iter().cloned().collect();
+                (Rcode::NoError, answers)
+            }
+            Authority::Synthetic => {
+                // Healthy population domain: synthesise a conventional
+                // answer on demand rather than storing a zone per domain.
+                let data = match rtype {
+                    RecordType::Soa => Some(RecordData::Soa {
+                        mname: "ns1.dns-host.net".to_string(),
+                        serial: 1,
+                    }),
+                    RecordType::Ns => Some(RecordData::Ns("ns1.dns-host.net".to_string())),
+                    _ => None,
+                };
+                let answers = data
+                    .map(|d| {
+                        vec![Record {
+                            name: name.clone(),
+                            ttl: 3600,
+                            data: d,
+                        }]
+                    })
+                    .unwrap_or_default();
+                (Rcode::NoError, answers)
+            }
+            Authority::NxDomain => (Rcode::NxDomain, Vec::new()),
+        }
+    }
 }
 
 /// Negative-cache TTL (SOA minimum in real life; fixed here).
@@ -45,7 +128,9 @@ const NEGATIVE_TTL: SimDuration = SimDuration::from_mins(15);
 /// A caching stub resolver over a [`Registry`].
 #[derive(Debug)]
 pub struct Resolver {
-    cache: HashMap<(DomainName, RecordType), CacheEntry>,
+    /// Cached answers by name, then record type: a hit looks the name up
+    /// by reference, without building an owned key.
+    cache: HashMap<DomainName, HashMap<RecordType, CacheEntry>>,
     caching: bool,
     /// Count of queries answered from cache / from authority.
     pub cache_hits: u64,
@@ -87,49 +172,65 @@ impl Resolver {
         rtype: RecordType,
         now: SimTime,
     ) -> ResolverResponse {
-        let key = (name.clone(), rtype);
-        if let Some(entry) = self.cache.get(&key) {
-            if entry.expires_at > now {
-                self.cache_hits += 1;
-                return ResolverResponse {
-                    rcode: entry.rcode,
-                    answers: entry.answers.clone(),
-                    from_cache: true,
-                };
+        self.answer(registry, name, rtype, now, |rcode, answers, from_cache| {
+            ResolverResponse {
+                rcode,
+                answers: answers.to_vec(),
+                from_cache,
             }
+        })
+    }
+
+    /// Convenience: resolve the A record of `name` to an address. A
+    /// cache hit copies nothing.
+    pub fn resolve_addr(
+        &mut self,
+        registry: &Registry,
+        name: &DomainName,
+        now: SimTime,
+    ) -> Option<phishsim_simnet::Ipv4Sim> {
+        self.answer(registry, name, RecordType::A, now, |_, answers, _| {
+            answers.iter().find_map(|r| match r.data {
+                RecordData::A(a) => Some(a),
+                _ => None,
+            })
+        })
+    }
+
+    /// Answer `name`/`rtype` at `now` — from a live cache entry when
+    /// there is one, else from authority, caching the result — and hand
+    /// the answer to `read` as `(rcode, answers, from_cache)`.
+    fn answer<R>(
+        &mut self,
+        registry: &Registry,
+        name: &DomainName,
+        rtype: RecordType,
+        now: SimTime,
+        read: impl FnOnce(Rcode, &[Record], bool) -> R,
+    ) -> R {
+        let stale = self
+            .cache
+            .get_mut(name)
+            .and_then(|by_type| by_type.get_mut(&rtype));
+        if let Some(entry) = stale.as_deref().filter(|e| e.live_at(now)) {
+            self.cache_hits += 1;
+            return read(entry.rcode, &entry.answers, true);
         }
         self.authoritative_lookups += 1;
-        let (rcode, answers) = match registry.zone(name, now) {
-            None if registry.has_synthetic_delegation(name, now) => {
-                // Healthy population domain: synthesise a conventional
-                // answer on demand rather than storing a zone per domain.
-                let data = match rtype {
-                    RecordType::Soa => Some(crate::records::RecordData::Soa {
-                        mname: "ns1.dns-host.net".to_string(),
-                        serial: 1,
-                    }),
-                    RecordType::Ns => Some(crate::records::RecordData::Ns(
-                        "ns1.dns-host.net".to_string(),
-                    )),
-                    _ => None,
-                };
-                let answers = data
-                    .map(|d| {
-                        vec![Record {
-                            name: name.clone(),
-                            ttl: 3600,
-                            data: d,
-                        }]
-                    })
-                    .unwrap_or_default();
-                (Rcode::NoError, answers)
+        let authority = Authority::of(registry, name, now);
+        // Probe traffic queries at out-of-order times, so most misses
+        // find an entry that authority still confirms; re-time it in
+        // place instead of copying the records again.
+        if let Some(entry) = stale {
+            if authority.confirms(entry, rtype) {
+                let ttl = entry.expires_at.since(entry.cached_at);
+                entry.cached_at = now;
+                entry.expires_at = now + ttl;
+                return read(entry.rcode, &entry.answers, false);
             }
-            None => (Rcode::NxDomain, Vec::new()),
-            Some(zone) => {
-                let answers: Vec<Record> = zone.records_of(rtype).into_iter().cloned().collect();
-                (Rcode::NoError, answers)
-            }
-        };
+        }
+        let (rcode, answers) = authority.answer(name, rtype);
+        let out = read(rcode, &answers, false);
         if self.caching {
             let ttl = match rcode {
                 Rcode::NxDomain => NEGATIVE_TTL,
@@ -138,34 +239,18 @@ impl Resolver {
                     SimDuration::from_secs(min_ttl as u64)
                 }
             };
-            self.cache.insert(
-                key,
-                CacheEntry {
-                    rcode,
-                    answers: answers.clone(),
-                    expires_at: now + ttl,
-                },
-            );
+            let entry = CacheEntry {
+                rcode,
+                answers,
+                cached_at: now,
+                expires_at: now + ttl,
+            };
+            self.cache
+                .entry(name.clone())
+                .or_default()
+                .insert(rtype, entry);
         }
-        ResolverResponse {
-            rcode,
-            answers,
-            from_cache: false,
-        }
-    }
-
-    /// Convenience: resolve the A record of `name` to an address.
-    pub fn resolve_addr(
-        &mut self,
-        registry: &Registry,
-        name: &DomainName,
-        now: SimTime,
-    ) -> Option<phishsim_simnet::Ipv4Sim> {
-        let resp = self.query(registry, name, RecordType::A, now);
-        resp.answers.iter().find_map(|r| match r.data {
-            crate::records::RecordData::A(a) => Some(a),
-            _ => None,
-        })
+        out
     }
 
     /// The SOA/NS probe the paper's pipeline performs: returns true when
@@ -249,6 +334,38 @@ mod tests {
         assert!(second.from_cache);
         let third = res.query(&reg, &d, RecordType::Soa, t0 + SimDuration::from_mins(16));
         assert!(!third.from_cache);
+    }
+
+    #[test]
+    fn later_cached_answer_never_serves_an_earlier_query() {
+        // Out-of-order query times: a lapsed domain is first queried
+        // after it dropped, caching NXDOMAIN; a query timed *before* that
+        // entry was cached, while the domain still resolved, must go to
+        // authority, not the cache.
+        let mut reg = Registry::new();
+        let d = DomainName::parse("lapsed.com").unwrap();
+        reg.register(d.clone(), "ovh", SimTime::ZERO, SimDuration::from_days(30))
+            .unwrap();
+        let zone = Zone::hosting(d.clone(), Ipv4Sim::new(10, 2, 2, 2), 1, false);
+        reg.delegate(&d, zone, SimTime::ZERO).unwrap();
+        reg.abandon(&d).unwrap();
+        let mut res = Resolver::new();
+        let dropped = SimTime::from_days_helper(120);
+        let late = res.query(&reg, &d, RecordType::A, dropped);
+        assert_eq!(late.rcode, Rcode::NxDomain);
+        assert!(!late.from_cache);
+        let early = res.query(&reg, &d, RecordType::A, SimTime::from_days_helper(1));
+        assert_eq!(early.rcode, Rcode::NoError);
+        assert!(!early.from_cache, "an entry cached later must not answer");
+        assert_eq!(
+            res.resolve_addr(&reg, &d, SimTime::from_days_helper(1)),
+            Some(Ipv4Sim::new(10, 2, 2, 2))
+        );
+        assert_eq!(
+            res.cache_hits, 1,
+            "the early answer is cached for its own window"
+        );
+        assert_eq!(res.authoritative_lookups, 2);
     }
 
     #[test]

@@ -19,8 +19,20 @@ impl Headers {
         self.entries.push((name.to_string(), value.to_string()));
     }
 
-    /// Replace all values of `name` with a single value.
+    /// Replace all values of `name` with a single value, appended last.
+    ///
+    /// When `name`, spelled the same, is already the last header and
+    /// has no other value, its value is overwritten in place, reusing
+    /// the buffer: the same result without allocating, which is what a
+    /// request reused across many sends relies on.
     pub fn set(&mut self, name: &str, value: &str) {
+        if let Some(((last_name, last_value), rest)) = self.entries.split_last_mut() {
+            if last_name == name && !rest.iter().any(|(n, _)| n.eq_ignore_ascii_case(name)) {
+                last_value.clear();
+                last_value.push_str(value);
+                return;
+            }
+        }
         self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
         self.append(name, value);
     }
@@ -92,6 +104,36 @@ mod tests {
         assert_eq!(h.get_all("set-cookie"), vec!["a=1", "b=2"]);
         h.set("Set-Cookie", "c=3");
         assert_eq!(h.get_all("set-cookie"), vec!["c=3"]);
+    }
+
+    #[test]
+    fn set_moves_the_header_last_and_keeps_its_spelling() {
+        let mut h = Headers::new();
+        h.append("User-Agent", "a");
+        h.append("Accept", "*/*");
+        h.set("user-agent", "b");
+        assert_eq!(
+            h.iter().collect::<Vec<_>>(),
+            [("Accept", "*/*"), ("user-agent", "b")]
+        );
+        // Overwriting the last header in place leaves the same result
+        // as removing and appending.
+        h.set("user-agent", "c");
+        assert_eq!(
+            h.iter().collect::<Vec<_>>(),
+            [("Accept", "*/*"), ("user-agent", "c")]
+        );
+        h.set("User-Agent", "d");
+        assert_eq!(
+            h.iter().collect::<Vec<_>>(),
+            [("Accept", "*/*"), ("User-Agent", "d")]
+        );
+        h.append("user-agent", "e");
+        h.set("user-agent", "f");
+        assert_eq!(
+            h.iter().collect::<Vec<_>>(),
+            [("Accept", "*/*"), ("user-agent", "f")]
+        );
     }
 
     #[test]

@@ -9,7 +9,8 @@
 
 use crate::message::{Request, Response};
 use crate::tls::TlsCertificate;
-use phishsim_simnet::{Ipv4Sim, ObsSink, SimTime, TraceEvent, TraceKind, TraceLog};
+use phishsim_simnet::{Ipv4Sim, ObsSink, SimTime, TraceLog};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Per-request context a handler sees (the server-side view).
@@ -17,7 +18,8 @@ use std::collections::HashMap;
 /// Borrows the actor name from the caller: one context is built per
 /// fetch on the hot path, and every fetch cloning an owned `String`
 /// actor showed up in sweep profiles. Handlers that persist the name
-/// (access logs, gate records) own it explicitly via `to_string()`.
+/// (gate records) own it explicitly via `to_string()`; the access log
+/// interns it.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestCtx<'a> {
     /// Source address of the client.
@@ -171,15 +173,21 @@ impl HostingFarm {
 
     /// Serve one request: append to the access log, then dispatch.
     pub fn serve(&mut self, req: &Request, ctx: &RequestCtx<'_>) -> Response {
-        self.log.record(TraceEvent {
-            at: ctx.now,
-            kind: TraceKind::HttpRequest,
-            src: ctx.src,
-            host: req.url.host.clone(),
-            path: req.url.target(),
-            user_agent: req.user_agent().map(|s| s.to_string()),
-            actor: ctx.actor.to_string(),
-        });
+        // The log line borrows every string; only a query string makes
+        // the logged target differ from the path.
+        let target = if req.url.query.is_empty() {
+            Cow::Borrowed(req.url.path.as_str())
+        } else {
+            Cow::Owned(req.url.target())
+        };
+        self.log.record_request(
+            ctx.now,
+            ctx.src,
+            &req.url.host,
+            &target,
+            req.user_agent(),
+            ctx.actor,
+        );
         let span = self
             .obs
             .span_start(None, "http.request", ctx.actor, ctx.now);

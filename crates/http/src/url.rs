@@ -120,6 +120,16 @@ impl Url {
         }
     }
 
+    /// Replace the path in place, reusing its buffer; a path without a
+    /// leading `/` gets one, as in [`Url::https`].
+    pub fn set_path(&mut self, path: &str) {
+        self.path.clear();
+        if !path.starts_with('/') {
+            self.path.push('/');
+        }
+        self.path.push_str(path);
+    }
+
     /// The URL without its query parameters.
     pub fn without_query(&self) -> Url {
         Url {
@@ -230,6 +240,15 @@ mod tests {
         assert_eq!(u.target(), "/p.php?a=1");
         assert_eq!(u.without_query().target(), "/p.php");
         assert_eq!(u.without_query().host, "h.com");
+    }
+
+    #[test]
+    fn set_path_matches_constructor() {
+        let mut u = Url::https("h.com", "/a/long/original/path.php");
+        for p in ["/x.php", "y.zip", "/"] {
+            u.set_path(p);
+            assert_eq!(u, Url::https("h.com", p));
+        }
     }
 
     #[test]

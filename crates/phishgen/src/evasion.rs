@@ -256,6 +256,10 @@ pub struct PhishingSite {
     brand: Brand,
     config: GateConfig,
     payload_html: String,
+    /// The gate's benign cover page, rendered once: it is pure in the
+    /// site's host, brand and config, and bots fetch it thousands of
+    /// times per report.
+    cover_html: String,
     probe: SiteProbe,
     /// PHP-style sessions: id → has passed the cover page.
     sessions: HashMap<String, bool>,
@@ -265,10 +269,18 @@ pub struct PhishingSite {
 impl PhishingSite {
     /// Create a site for `host` targeting `brand` behind `config`.
     pub fn new(host: &str, brand: Brand, config: GateConfig, rng: &DetRng) -> Self {
+        let cover_html = match config.technique {
+            EvasionTechnique::None => String::new(),
+            EvasionTechnique::AlertBox => alert_cover_html(&config),
+            EvasionTechnique::SessionGate => session_cover_html(&config, brand),
+            EvasionTechnique::CaptchaGate => captcha_cover_html(&config),
+            EvasionTechnique::Cloaking => cloak_cover_html(host),
+        };
         PhishingSite {
             host: host.to_string(),
             brand,
             payload_html: brand.login_page_html(),
+            cover_html,
             config,
             probe: SiteProbe::default(),
             sessions: HashMap::new(),
@@ -306,91 +318,10 @@ impl PhishingSite {
         Response::html(self.payload_html.clone())
     }
 
-    fn serve_benign(&self, ctx: &RequestCtx, note: &str, html: String) -> Response {
+    /// Log a benign serve and answer with the gate's cover page.
+    fn serve_cover(&self, ctx: &RequestCtx, note: &str) -> Response {
         self.log(ctx, false, note);
-        Response::html(html)
-    }
-
-    /// Listing 2's benign page: generic content plus the modal-confirm
-    /// script effect.
-    fn alert_cover_html(&self) -> String {
-        let effect = ScriptEffect::AlertConfirm {
-            message: "Please sign in to continue...".to_string(),
-            delay_ms: self.config.alert_delay_ms,
-            confirm_field: ("get_data".to_string(), "getData".to_string()),
-            guard_first_visit: true,
-        };
-        format!(
-            "<!DOCTYPE html><html><head><title>Account Portal</title>\
-             <link rel=\"icon\" href=\"/favicon.ico\"></head>\
-             <body class=\"blurred\"><div class=\"overlay\"></div>\
-             <p>Loading your account portal. One moment, please.</p>\
-             {}</body></html>",
-            effect.to_markup()
-        )
-    }
-
-    /// The session-gate cover page ("Join Chat").
-    fn session_cover_html(&self) -> String {
-        match self.config.session_style {
-            SessionStyle::CoverButton => {
-                "<!DOCTYPE html><html><head><title>Group Invitation</title></head>\
-                 <body><h1>You have been invited to a group chat</h1>\
-                 <p>Press the button below to join the conversation.</p>\
-                 <form action=\"\" method=\"post\">\
-                 <input type=\"hidden\" name=\"proceed\" value=\"1\">\
-                 <button type=\"submit\">Join Chat</button>\
-                 </form></body></html>"
-                    .to_string()
-            }
-            SessionStyle::MultiPageLogin => {
-                // Stage 1: the username page. Brand-shaped, but with no
-                // password field — content classifiers score it benign.
-                let brand = self.brand.name();
-                let asset = self.brand.asset_paths()[0];
-                format!(
-                    "<!DOCTYPE html><html><head><title>Sign in</title></head>\
-                     <body><img src=\"{asset}\" alt=\"{brand}\">\
-                     <h1>Sign in to continue</h1>\
-                     <form action=\"\" method=\"post\">\
-                     <input type=\"email\" name=\"login_email\" placeholder=\"Email or phone\">\
-                     <button type=\"submit\">Next</button>\
-                     </form></body></html>"
-                )
-            }
-        }
-    }
-
-    /// Listing 1's CAPTCHA page: completely benign, **no form tag** —
-    /// the form is generated dynamically by the callback effect.
-    fn captcha_cover_html(&self) -> String {
-        let binding = self
-            .config
-            .captcha
-            .as_ref()
-            .expect("captcha gate requires a binding");
-        let effect = ScriptEffect::CaptchaCallback {
-            field_name: "gresponse".to_string(),
-        };
-        format!(
-            "<!DOCTYPE html><html><head><title>Verification Required</title></head>\
-             <body><h1>Are you human?</h1>\
-             <p>Please complete the verification below to continue.</p>\
-             {}{}</body></html>",
-            widget_markup(&binding.site_key),
-            effect.to_markup()
-        )
-    }
-
-    /// Generic benign page served to cloaked-away bots.
-    fn cloak_cover_html(&self) -> String {
-        format!(
-            "<!DOCTYPE html><html><head><title>{} — maintenance</title></head>\
-             <body><h1>Scheduled maintenance</h1>\
-             <p>This page is temporarily unavailable. Please check back later.</p>\
-             </body></html>",
-            self.host
-        )
+        Response::html(self.cover_html.clone())
     }
 
     fn fresh_session_id(&mut self) -> String {
@@ -416,7 +347,7 @@ impl PhishingSite {
             // alert box" — Listing 2, lines 4–9.
             self.serve_payload(ctx, "alert-confirmed")
         } else {
-            self.serve_benign(ctx, "alert-cover", self.alert_cover_html())
+            self.serve_cover(ctx, "alert-cover")
         }
     }
 
@@ -436,7 +367,7 @@ impl PhishingSite {
             }
             Some(id) if self.sessions.contains_key(&id) => {
                 // Valid session revisiting the cover.
-                self.serve_benign(ctx, "session-cover", self.session_cover_html())
+                self.serve_cover(ctx, "session-cover")
             }
             _ => {
                 // No (valid) session: plant one and serve the cover.
@@ -444,7 +375,7 @@ impl PhishingSite {
                 // must be generated on the first page (§2.3).
                 let id = self.fresh_session_id();
                 self.sessions.insert(id.clone(), true);
-                let resp = self.serve_benign(ctx, "session-new", self.session_cover_html());
+                let resp = self.serve_cover(ctx, "session-new");
                 resp.with_set_cookie(&format!("PHPSESSID={id}; Path=/"))
             }
         }
@@ -468,9 +399,9 @@ impl PhishingSite {
                 // page content (Listing 1, lines 13–17).
                 return self.serve_payload(ctx, "captcha-pass");
             }
-            return self.serve_benign(ctx, "captcha-fail", self.captcha_cover_html());
+            return self.serve_cover(ctx, "captcha-fail");
         }
-        self.serve_benign(ctx, "captcha-cover", self.captcha_cover_html())
+        self.serve_cover(ctx, "captcha-cover")
     }
 
     fn handle_cloaking(&mut self, req: &Request, ctx: &RequestCtx) -> Response {
@@ -484,11 +415,92 @@ impl PhishingSite {
             .iter()
             .any(|(net, len)| ctx.src.in_subnet(*net, *len));
         if ua_is_bot || ip_is_bot {
-            self.serve_benign(ctx, "cloak-block", self.cloak_cover_html())
+            self.serve_cover(ctx, "cloak-block")
         } else {
             self.serve_payload(ctx, "cloak-pass")
         }
     }
+}
+
+/// Listing 2's benign page: generic content plus the modal-confirm
+/// script effect.
+fn alert_cover_html(config: &GateConfig) -> String {
+    let effect = ScriptEffect::AlertConfirm {
+        message: "Please sign in to continue...".to_string(),
+        delay_ms: config.alert_delay_ms,
+        confirm_field: ("get_data".to_string(), "getData".to_string()),
+        guard_first_visit: true,
+    };
+    format!(
+        "<!DOCTYPE html><html><head><title>Account Portal</title>\
+         <link rel=\"icon\" href=\"/favicon.ico\"></head>\
+         <body class=\"blurred\"><div class=\"overlay\"></div>\
+         <p>Loading your account portal. One moment, please.</p>\
+         {}</body></html>",
+        effect.to_markup()
+    )
+}
+
+/// The session-gate cover page ("Join Chat").
+fn session_cover_html(config: &GateConfig, brand: Brand) -> String {
+    match config.session_style {
+        SessionStyle::CoverButton => {
+            "<!DOCTYPE html><html><head><title>Group Invitation</title></head>\
+             <body><h1>You have been invited to a group chat</h1>\
+             <p>Press the button below to join the conversation.</p>\
+             <form action=\"\" method=\"post\">\
+             <input type=\"hidden\" name=\"proceed\" value=\"1\">\
+             <button type=\"submit\">Join Chat</button>\
+             </form></body></html>"
+                .to_string()
+        }
+        SessionStyle::MultiPageLogin => {
+            // Stage 1: the username page. Brand-shaped, but with no
+            // password field — content classifiers score it benign.
+            let name = brand.name();
+            let asset = brand.asset_paths()[0];
+            format!(
+                "<!DOCTYPE html><html><head><title>Sign in</title></head>\
+                 <body><img src=\"{asset}\" alt=\"{name}\">\
+                 <h1>Sign in to continue</h1>\
+                 <form action=\"\" method=\"post\">\
+                 <input type=\"email\" name=\"login_email\" placeholder=\"Email or phone\">\
+                 <button type=\"submit\">Next</button>\
+                 </form></body></html>"
+            )
+        }
+    }
+}
+
+/// Listing 1's CAPTCHA page: completely benign, **no form tag** —
+/// the form is generated dynamically by the callback effect.
+fn captcha_cover_html(config: &GateConfig) -> String {
+    let binding = config
+        .captcha
+        .as_ref()
+        .expect("captcha gate requires a binding");
+    let effect = ScriptEffect::CaptchaCallback {
+        field_name: "gresponse".to_string(),
+    };
+    format!(
+        "<!DOCTYPE html><html><head><title>Verification Required</title></head>\
+         <body><h1>Are you human?</h1>\
+         <p>Please complete the verification below to continue.</p>\
+         {}{}</body></html>",
+        widget_markup(&binding.site_key),
+        effect.to_markup()
+    )
+}
+
+/// Generic benign page served to cloaked-away bots.
+fn cloak_cover_html(host: &str) -> String {
+    format!(
+        "<!DOCTYPE html><html><head><title>{} — maintenance</title></head>\
+         <body><h1>Scheduled maintenance</h1>\
+         <p>This page is temporarily unavailable. Please check back later.</p>\
+         </body></html>",
+        host
+    )
 }
 
 impl Handler for PhishingSite {

@@ -12,7 +12,9 @@ use crate::ip::Ipv4Sim;
 use crate::time::{SimDuration, SimTime};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// What kind of exchange a trace event records.
@@ -30,8 +32,9 @@ pub enum TraceKind {
     AbuseEmail,
 }
 
-/// One entry in the traffic log.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One entry in the traffic log, owned (what [`TraceLog::snapshot`] and
+/// [`TraceLog::filter`] return).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// When the event occurred.
     pub at: SimTime,
@@ -52,11 +55,224 @@ pub struct TraceEvent {
     pub actor: String,
 }
 
+impl TraceEvent {
+    /// Borrow this event as a [`TraceView`].
+    pub fn view(&self) -> TraceView<'_> {
+        TraceView {
+            at: self.at,
+            kind: self.kind,
+            src: self.src,
+            host: &self.host,
+            path: &self.path,
+            user_agent: self.user_agent.as_deref(),
+            actor: &self.actor,
+        }
+    }
+}
+
+/// One entry in the traffic log, borrowed from the log's string table:
+/// what [`TraceLog::count`] and [`TraceLog::filter`] predicates see.
+/// Same fields as [`TraceEvent`], without an allocation per entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceView<'a> {
+    /// When the event occurred.
+    pub at: SimTime,
+    /// The kind of event.
+    pub kind: TraceKind,
+    /// Source address (crawler / reporter).
+    pub src: Ipv4Sim,
+    /// Requested host (domain name).
+    pub host: &'a str,
+    /// Requested path (including query string).
+    pub path: &'a str,
+    /// The `User-Agent` presented, if any.
+    pub user_agent: Option<&'a str>,
+    /// Ground-truth actor name.
+    pub actor: &'a str,
+}
+
+impl TraceView<'_> {
+    /// An owned copy of this entry.
+    pub fn to_event(&self) -> TraceEvent {
+        TraceEvent {
+            at: self.at,
+            kind: self.kind,
+            src: self.src,
+            host: self.host.to_string(),
+            path: self.path.to_string(),
+            user_agent: self.user_agent.map(str::to_string),
+            actor: self.actor.to_string(),
+        }
+    }
+}
+
+/// The deterministic total order described on [`TraceLog`]: by time,
+/// then by string *content* — never by symbol id — then source, kind
+/// and user agent.
+fn order(a: &TraceView<'_>, b: &TraceView<'_>) -> Ordering {
+    a.at.cmp(&b.at)
+        .then_with(|| a.actor.cmp(b.actor))
+        .then_with(|| a.host.cmp(b.host))
+        .then_with(|| a.path.cmp(b.path))
+        .then_with(|| a.src.cmp(&b.src))
+        .then_with(|| a.kind.cmp(&b.kind))
+        .then_with(|| a.user_agent.cmp(&b.user_agent))
+}
+
+/// Symbol of an interned string: its index in [`Store::strings`].
+type Sym = u32;
+
+/// The symbol stored for an absent user agent.
+const NO_SYM: Sym = Sym::MAX;
+
+/// One stored log line: 32 bytes, its four strings interned.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    at: SimTime,
+    src: Ipv4Sim,
+    kind: TraceKind,
+    host: Sym,
+    path: Sym,
+    user_agent: Sym,
+    actor: Sym,
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 32);
+
+/// FxHash-style hasher for the symbol table, which hashes four short,
+/// trusted strings per logged request; SipHash's flooding resistance
+/// buys nothing there.
+#[derive(Default)]
+struct SymHasher(u64);
+
+impl SymHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for SymHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(buf));
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The log's storage: fixed-size entries over a string table. A paper
+/// run logs hundreds of thousands of requests but only ~170 distinct
+/// strings (hosts, paths, user agents, actors).
+#[derive(Debug, Default)]
+struct Store {
+    entries: Vec<Entry>,
+    strings: Vec<Box<str>>,
+    symbols: HashMap<Box<str>, Sym, BuildHasherDefault<SymHasher>>,
+}
+
+impl Store {
+    fn intern(&mut self, s: &str) -> Sym {
+        if let Some(&sym) = self.symbols.get(s) {
+            return sym;
+        }
+        let sym = Sym::try_from(self.strings.len())
+            .ok()
+            .filter(|&sym| sym != NO_SYM)
+            .expect("trace string table overflow");
+        self.strings.push(s.into());
+        self.symbols.insert(s.into(), sym);
+        sym
+    }
+
+    /// The symbol of `s`, if it was ever recorded.
+    fn lookup(&self, s: &str) -> Option<Sym> {
+        self.symbols.get(s).copied()
+    }
+
+    fn push(&mut self, event: TraceView<'_>) {
+        let entry = Entry {
+            at: event.at,
+            src: event.src,
+            kind: event.kind,
+            host: self.intern(event.host),
+            path: self.intern(event.path),
+            user_agent: event.user_agent.map_or(NO_SYM, |ua| self.intern(ua)),
+            actor: self.intern(event.actor),
+        };
+        self.entries.push(entry);
+    }
+
+    fn view(&self, e: &Entry) -> TraceView<'_> {
+        let s = |sym: Sym| &*self.strings[sym as usize];
+        TraceView {
+            at: e.at,
+            kind: e.kind,
+            src: e.src,
+            host: s(e.host),
+            path: s(e.path),
+            user_agent: (e.user_agent != NO_SYM).then(|| s(e.user_agent)),
+            actor: s(e.actor),
+        }
+    }
+
+    /// HTTP requests, optionally only those by `actor` and for `host`.
+    /// An actor or host never recorded matches nothing.
+    fn requests<'s>(
+        &'s self,
+        actor: Option<&str>,
+        host: Option<&str>,
+    ) -> impl Iterator<Item = &'s Entry> + 's {
+        // A filter on a string the log never saw is `Some(None)`, which
+        // no entry's symbol equals.
+        let actor = actor.map(|a| self.lookup(a));
+        let host = host.map(|h| self.lookup(h));
+        self.entries.iter().filter(move |e| {
+            e.kind == TraceKind::HttpRequest
+                && actor.is_none_or(|a| a == Some(e.actor))
+                && host.is_none_or(|h| h == Some(e.host))
+        })
+    }
+
+    /// Sort into the deterministic total order. Stable, so the append
+    /// sequence breaks exact ties.
+    fn sort(&self, entries: &mut [Entry]) {
+        entries.sort_by(|a, b| order(&self.view(a), &self.view(b)));
+    }
+
+    /// Owned copies of `entries`, in the deterministic total order.
+    fn sorted_events(&self, mut entries: Vec<Entry>) -> Vec<TraceEvent> {
+        self.sort(&mut entries);
+        entries.iter().map(|e| self.view(e).to_event()).collect()
+    }
+}
+
 /// A shared, append-only traffic log.
 ///
 /// Cloning is cheap (an `Arc`); all clones append to the same log. The
 /// lock is `parking_lot::RwLock` so concurrent table harnesses can read
 /// while a simulation thread appends.
+///
+/// # Storage
+///
+/// Entries are stored as 32-byte records whose host, path, user agent
+/// and actor are symbols into a per-log string table, so appending a
+/// request copies no string the table already holds. Symbols are
+/// assigned in first-seen order and never leave this module: no query
+/// result depends on them.
 ///
 /// # Ordering
 ///
@@ -65,28 +281,15 @@ pub struct TraceEvent {
 /// leak into records that are supposed to be byte-identical across
 /// thread counts. Every order-exposing query therefore sorts on a
 /// deterministic total order: `(at, actor, host, path, src, kind,
-/// user_agent)`, with the append sequence — assigned under the write
-/// lock — as the final tie-break (via stable sort). Two events that
-/// differ in any field always compare by content; fully identical
-/// events are interchangeable in any digest, so the residual
-/// append-order tie-break cannot make output thread-dependent.
+/// user_agent)`, comparing strings by content, with the append sequence
+/// — assigned under the write lock — as the final tie-break (via stable
+/// sort). Two events that differ in any field always compare by
+/// content; fully identical events are interchangeable in any digest,
+/// so the residual append-order tie-break cannot make output
+/// thread-dependent.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
-    inner: Arc<RwLock<Vec<TraceEvent>>>,
-}
-
-/// Sort events into the deterministic total order described on
-/// [`TraceLog`]. Stable, so the append sequence breaks exact ties.
-fn sort_events(events: &mut [TraceEvent]) {
-    events.sort_by(|a, b| {
-        a.at.cmp(&b.at)
-            .then_with(|| a.actor.cmp(&b.actor))
-            .then_with(|| a.host.cmp(&b.host))
-            .then_with(|| a.path.cmp(&b.path))
-            .then_with(|| a.src.cmp(&b.src))
-            .then_with(|| a.kind.cmp(&b.kind))
-            .then_with(|| a.user_agent.cmp(&b.user_agent))
-    });
+    inner: Arc<RwLock<Store>>,
 }
 
 impl TraceLog {
@@ -97,88 +300,122 @@ impl TraceLog {
 
     /// Append an event.
     pub fn record(&self, event: TraceEvent) {
-        self.inner.write().push(event);
+        self.inner.write().push(event.view());
+    }
+
+    /// Append one HTTP request, borrowing its strings (the hosting
+    /// farm's per-request access-log line).
+    pub fn record_request(
+        &self,
+        at: SimTime,
+        src: Ipv4Sim,
+        host: &str,
+        path: &str,
+        user_agent: Option<&str>,
+        actor: &str,
+    ) {
+        self.inner.write().push(TraceView {
+            at,
+            kind: TraceKind::HttpRequest,
+            src,
+            host,
+            path,
+            user_agent,
+            actor,
+        });
     }
 
     /// Total number of events.
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.inner.read().entries.len()
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
+        self.inner.read().entries.is_empty()
     }
 
     /// Snapshot of all events, in the deterministic total order (see
     /// the type-level ordering note) — not raw append order.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut out = self.inner.read().clone();
-        sort_events(&mut out);
-        out
+        let store = self.inner.read();
+        store.sorted_events(store.entries.clone())
     }
 
     /// Events matching a predicate, in the deterministic total order.
-    pub fn filter<F: Fn(&TraceEvent) -> bool>(&self, pred: F) -> Vec<TraceEvent> {
-        let mut out: Vec<TraceEvent> = self
-            .inner
-            .read()
+    pub fn filter<F: Fn(&TraceView<'_>) -> bool>(&self, pred: F) -> Vec<TraceEvent> {
+        let store = self.inner.read();
+        let hits = store
+            .entries
             .iter()
-            .filter(|e| pred(e))
-            .cloned()
+            .filter(|e| pred(&store.view(e)))
+            .copied()
             .collect();
-        sort_events(&mut out);
-        out
+        store.sorted_events(hits)
     }
 
     /// Count of events matching a predicate.
-    pub fn count<F: Fn(&TraceEvent) -> bool>(&self, pred: F) -> usize {
-        self.inner.read().iter().filter(|e| pred(e)).count()
+    pub fn count<F: Fn(&TraceView<'_>) -> bool>(&self, pred: F) -> usize {
+        let store = self.inner.read();
+        store
+            .entries
+            .iter()
+            .filter(|e| pred(&store.view(e)))
+            .count()
     }
 
     /// Number of HTTP requests attributed to `actor` for `host`
     /// (Table 1's "# of requests" column).
     pub fn requests_for(&self, actor: &str, host: Option<&str>) -> usize {
-        self.count(|e| {
-            e.kind == TraceKind::HttpRequest && e.actor == actor && host.is_none_or(|h| e.host == h)
-        })
+        self.inner.read().requests(Some(actor), host).count()
     }
 
     /// Unique source IPs attributed to `actor` (Table 1's "Unique IPs").
     pub fn unique_ips_for(&self, actor: &str) -> usize {
-        let guard = self.inner.read();
-        let set: HashSet<Ipv4Sim> = guard
-            .iter()
-            .filter(|e| e.kind == TraceKind::HttpRequest && e.actor == actor)
-            .map(|e| e.src)
-            .collect();
+        let store = self.inner.read();
+        let set: HashSet<Ipv4Sim> = store.requests(Some(actor), None).map(|e| e.src).collect();
         set.len()
     }
 
-    /// Fraction of HTTP requests for `host` arriving within `window`
-    /// of `start` ("we received about 90 % of the traffic during the
-    /// first 2 hours after reporting").
-    pub fn fraction_within(&self, host: &str, start: SimTime, window: SimDuration) -> f64 {
-        let guard = self.inner.read();
-        let all: Vec<&TraceEvent> = guard
-            .iter()
-            .filter(|e| e.kind == TraceKind::HttpRequest && e.host == host)
-            .collect();
-        if all.is_empty() {
-            return 0.0;
+    /// For each `(host, start)` query, the fraction of HTTP requests for
+    /// `host` arriving within `window` of `start` ("we received about
+    /// 90 % of the traffic during the first 2 hours after reporting");
+    /// 0 for a host with no requests. One pass over the log answers
+    /// every query.
+    pub fn fractions_within(&self, queries: &[(&str, SimTime)], window: SimDuration) -> Vec<f64> {
+        let store = self.inner.read();
+        // Queries by host symbol; hosts never recorded get no slot.
+        let mut by_host: Vec<Vec<usize>> = vec![Vec::new(); store.strings.len()];
+        for (i, (host, _)) in queries.iter().enumerate() {
+            if let Some(sym) = store.lookup(host) {
+                by_host[sym as usize].push(i);
+            }
         }
-        let cutoff = start + window;
-        let within = all.iter().filter(|e| e.at <= cutoff).count();
-        within as f64 / all.len() as f64
+        let cutoffs: Vec<SimTime> = queries.iter().map(|&(_, start)| start + window).collect();
+        let mut within = vec![0usize; queries.len()];
+        let mut total = vec![0usize; queries.len()];
+        for e in store.requests(None, None) {
+            for &i in &by_host[e.host as usize] {
+                total[i] += 1;
+                if e.at <= cutoffs[i] {
+                    within[i] += 1;
+                }
+            }
+        }
+        within
+            .iter()
+            .zip(&total)
+            .map(|(&w, &t)| if t == 0 { 0.0 } else { w as f64 / t as f64 })
+            .collect()
     }
 
     /// Time of the first HTTP request for `host` at or after `start`.
     pub fn first_request_after(&self, host: &str, start: SimTime) -> Option<SimTime> {
         self.inner
             .read()
-            .iter()
-            .filter(|e| e.kind == TraceKind::HttpRequest && e.host == host && e.at >= start)
+            .requests(None, Some(host))
             .map(|e| e.at)
+            .filter(|&at| at >= start)
             .min()
     }
 
@@ -194,22 +431,13 @@ impl TraceLog {
         n_buckets: usize,
     ) -> Vec<usize> {
         let mut buckets = vec![0usize; n_buckets + 1];
-        for e in self.inner.read().iter() {
-            if e.kind != TraceKind::HttpRequest {
-                continue;
-            }
-            if let Some(h) = host {
-                if e.host != h {
-                    continue;
-                }
-            }
+        for e in self.inner.read().requests(None, host) {
             if e.at < start {
                 continue;
             }
             let offset = e.at.since(start).as_millis();
             let idx = (offset / bucket.as_millis().max(1)) as usize;
-            let idx = idx.min(n_buckets);
-            buckets[idx] += 1;
+            buckets[idx.min(n_buckets)] += 1;
         }
         buckets
     }
@@ -219,15 +447,17 @@ impl TraceLog {
     /// total order — raw append order is interleaving-dependent when
     /// sweep workers share a log.
     pub fn paths_for(&self, actor: &str) -> Vec<String> {
-        self.filter(|e| e.kind == TraceKind::HttpRequest && e.actor == actor)
-            .into_iter()
-            .map(|e| e.path)
+        let store = self.inner.read();
+        let mut hits: Vec<Entry> = store.requests(Some(actor), None).copied().collect();
+        store.sort(&mut hits);
+        hits.iter()
+            .map(|e| store.view(e).path.to_string())
             .collect()
     }
 
     /// Clear the log (between experiment phases).
     pub fn clear(&self) {
-        self.inner.write().clear();
+        *self.inner.write() = Store::default();
     }
 }
 
@@ -270,17 +500,22 @@ mod tests {
     }
 
     #[test]
-    fn fraction_within_window() {
+    fn fractions_within_window() {
         let log = TraceLog::new();
         for m in [5, 10, 30, 60, 90, 100, 110, 115, 119, 500] {
             log.record(ev(m, "x", "a.com", "/", Ipv4Sim::new(1, 0, 0, 1)));
         }
-        let f = log.fraction_within("a.com", SimTime::ZERO, SimDuration::from_hours(2));
-        assert!((f - 0.9).abs() < 1e-9, "fraction {f}");
-        assert_eq!(
-            log.fraction_within("none.com", SimTime::ZERO, SimDuration::from_hours(2)),
-            0.0
+        let f = log.fractions_within(
+            &[
+                ("a.com", SimTime::ZERO),
+                ("none.com", SimTime::ZERO),
+                ("a.com", SimTime::from_mins(400)),
+            ],
+            SimDuration::from_hours(2),
         );
+        assert!((f[0] - 0.9).abs() < 1e-9, "fraction {}", f[0]);
+        assert_eq!(f[1], 0.0, "unknown host");
+        assert_eq!(f[2], 1.0, "a second query on one host gets its own window");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 # Composable stages, so CI tiers and reviewers run the same script:
 #
 #   ./scripts/check.sh                # everything (pre-merge gate)
-#   ./scripts/check.sh --tier1        # fmt + workspace clippy + build + tests
+#   ./scripts/check.sh --tier1        # fmt + workspace clippy + build + tests (>= TEST_FLOOR pass)
 #   ./scripts/check.sh --determinism  # thread-count byte-identity smokes
 #   ./scripts/check.sh --perf         # quick perf baseline + scaling smoke
 #   ./scripts/check.sh --replay       # verify committed .runpack artifacts
@@ -39,6 +39,12 @@ for arg in "$@"; do
   esac
 done
 
+# Passing tests tier-1 must reach. `default-members` makes the plain
+# `cargo test` run every crate's unit tests, proptests and doctests plus
+# the root package's; raise the floor when adding tests, never lower it
+# to get a pass.
+TEST_FLOOR=793
+
 # Run a sweep binary at two thread counts and require byte-identical
 # records: smoke NAME RECORD THREADS_A THREADS_B BIN [ARGS...]
 smoke() {
@@ -64,7 +70,16 @@ tier1() {
 
   echo "==> tier-1: build + tests"
   cargo build --release
-  cargo test -q --release
+  local log passed
+  log="$(mktemp)"
+  cargo test -q --release 2>&1 | tee "$log"
+  passed="$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$log")"
+  rm -f "$log"
+  if [ "$passed" -lt "$TEST_FLOOR" ]; then
+    echo "tier-1 passed $passed tests, fewer than the floor of $TEST_FLOOR: coverage was lost" >&2
+    exit 1
+  fi
+  echo "tier-1: $passed tests passed (floor $TEST_FLOOR)"
 }
 
 perf() {
