@@ -22,7 +22,7 @@ use phishsim_feedserve::{prefix_of, PrefixStore};
 use phishsim_http::Url;
 use phishsim_simnet::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Full 64-bit hash of a canonicalised URL (query stripped, as the
@@ -61,12 +61,9 @@ struct Snapshot {
 /// The server side: derives prefix sets and full-hash answers from an
 /// engine's blacklist.
 ///
-/// The seed implementation rebuilt a `BTreeSet<HashPrefix>` — parsing
-/// and hashing every listed URL — on *every* `prefix_set` and
-/// `full_hashes` call. The store is now the shared
-/// `phishsim_feedserve::PrefixStore`, built once per
-/// `(blacklist version, listed count)` pair and handed out as an
-/// `Arc`; repeat calls within one blacklist state are O(1).
+/// The store is the shared `phishsim_feedserve::PrefixStore`, built
+/// once per `(blacklist version, listed count)` pair and handed out as
+/// an `Arc`; repeat calls within one blacklist state are O(1).
 #[derive(Debug)]
 pub struct SbServer<'a> {
     list: &'a Blacklist,
@@ -115,13 +112,6 @@ impl<'a> SbServer<'a> {
     /// installs client-side). Memoized per blacklist state.
     pub fn store(&self, now: SimTime) -> Arc<PrefixStore> {
         self.snapshot(now).0
-    }
-
-    /// The prefix set as of `now` — thin compatibility adapter over
-    /// [`SbServer::store`] for callers (e.g. `examples/sb_protocol`)
-    /// that want the set representation.
-    pub fn prefix_set(&self, now: SimTime) -> BTreeSet<HashPrefix> {
-        self.store(now).iter().map(HashPrefix).collect()
     }
 
     /// Full hashes under a prefix as of `now` (the full-hash fetch),

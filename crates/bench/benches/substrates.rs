@@ -61,7 +61,7 @@ fn bench_classifier(c: &mut Criterion) {
     let phishing = PageSummary::from_html(&Brand::PayPal.login_page_html());
     let rng = DetRng::new(1);
     let bundle = FakeSiteGenerator::new(&rng).generate("green-energy.com");
-    let benign = PageSummary::from_html(&bundle.pages.values().next().unwrap().html);
+    let benign = PageSummary::from_html(&bundle.pages().values().next().unwrap().html);
     let mut g = c.benchmark_group("classifier");
     g.bench_function("classify_phishing_payload", |b| {
         b.iter(|| {
@@ -84,7 +84,10 @@ fn bench_sitegen(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            generator.generate(&format!("bench-host-{i}.com"))
+            // `generate` returns a plan; reading the pages builds them.
+            generator
+                .generate(&format!("bench-host-{i}.com"))
+                .page_count()
         })
     });
 }

@@ -9,15 +9,15 @@
 //! screenshots every 10 minutes for the first 72 hours and every
 //! 5 hours afterwards.
 //!
-//! [`monitor_listings`] reproduces that polling loop on the
-//! discrete-event [`Scheduler`]: each engine has its own polling
-//! cadence, and a listing is *observed* at the first poll tick at or
-//! after it was published. The gap between listing and observation is
-//! the measurement error the paper's methodology accepts.
+//! [`monitor_listings`] reproduces that polling loop: each engine has
+//! its own polling cadence, and a listing is *observed* at the first
+//! poll tick at or after it was published. The gap between listing and
+//! observation is the measurement error the paper's methodology
+//! accepts.
 
 use phishsim_antiphish::{EngineId, FeedNetwork};
 use phishsim_http::Url;
-use phishsim_simnet::{Scheduler, SimDuration, SimTime, TraceEvent, TraceKind, TraceLog};
+use phishsim_simnet::{Ipv4Sim, SimDuration, SimTime, TraceEvent, TraceKind, TraceLog};
 use serde::{Deserialize, Serialize};
 
 /// How the framework watches one engine.
@@ -57,18 +57,60 @@ impl MonitorMethod {
     /// SmartScreen screenshots go from every 10 minutes (first 72 h) to
     /// every 5 hours "for the rest of the experiment".
     pub fn poll_period_at(self, elapsed: SimDuration) -> SimDuration {
+        let phases = self.schedule();
+        let phase = phases.partition_point(|&(from, _)| from <= elapsed) - 1;
+        phases[phase].1
+    }
+
+    /// The polling schedule as `(from, period)` phases, `from` ascending
+    /// and the first at zero: a poll made `elapsed` into the run is
+    /// followed by the next one the period of the last phase with
+    /// `from <= elapsed` later. The first poll comes one period after
+    /// the run starts.
+    fn schedule(self) -> &'static [(SimDuration, SimDuration)] {
+        const ZERO: SimDuration = SimDuration::ZERO;
+        const SCREENSHOT: &[(SimDuration, SimDuration)] = &[
+            (ZERO, SimDuration::from_mins(10)),
+            (SimDuration::from_hours(72), SimDuration::from_hours(5)),
+        ];
         match self {
-            MonitorMethod::LookupApi => SimDuration::from_mins(5),
-            MonitorMethod::FeedDownload => SimDuration::from_mins(30),
-            MonitorMethod::NotificationEmail => SimDuration::from_mins(1),
-            MonitorMethod::Screenshot => {
-                if elapsed < SimDuration::from_hours(72) {
-                    SimDuration::from_mins(10)
-                } else {
-                    SimDuration::from_hours(5)
-                }
-            }
+            MonitorMethod::LookupApi => const { &[(ZERO, SimDuration::from_mins(5))] },
+            MonitorMethod::FeedDownload => const { &[(ZERO, SimDuration::from_mins(30))] },
+            MonitorMethod::NotificationEmail => const { &[(ZERO, SimDuration::from_mins(1))] },
+            MonitorMethod::Screenshot => SCREENSHOT,
         }
+    }
+
+    /// The first poll at or after `target` into the run, and the poll
+    /// before it (zero, the run's start, for the first poll), both as
+    /// time since the run's start. A phase's polls are `prev + k·period`
+    /// for `k >= 1` while the poll they follow is before the next
+    /// phase's `from`, so each phase is one division.
+    fn first_poll_at_or_after(self, target: SimDuration) -> (SimDuration, SimDuration) {
+        let phases = self.schedule();
+        let target = target.as_millis();
+        let mut prev = 0u64;
+        for (i, &(_, period)) in phases.iter().enumerate() {
+            let period = period.as_millis();
+            let end = phases
+                .get(i + 1)
+                .map_or(u64::MAX, |&(from, _)| from.as_millis());
+            // With this phase's period, the first poll at or after
+            // `target` follows `before`: `prev` or a later poll below
+            // `target`. It does if `before` was made before `end`.
+            let k = target.saturating_sub(prev).div_ceil(period).max(1);
+            let before = prev + (k - 1) * period;
+            if before < end {
+                return (
+                    SimDuration::from_millis(before.saturating_add(period)),
+                    SimDuration::from_millis(before),
+                );
+            }
+            // Every poll this phase schedules is before `target`: move on
+            // from the last of them.
+            prev += end.saturating_sub(prev).div_ceil(period) * period;
+        }
+        unreachable!("the last phase runs forever")
     }
 }
 
@@ -92,14 +134,20 @@ impl Observation {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PollEvent {
-    engine_idx: usize,
-}
-
 /// Poll all engines' lists for `urls` from `start` until `horizon`,
 /// returning every appearance with its observation time. Appends
 /// `Blacklist` trace events to `log` as appearances are observed.
+///
+/// The feeds are frozen while the monitor polls, so each (engine, URL)
+/// listing's observation is computed directly: the engine's first poll
+/// at or after the listing, kept if it is at or before `horizon`.
+/// Observations come out in the order an event loop popping every poll
+/// from a FIFO scheduler reports them, sorted by `(poll, previous poll,
+/// engine, URL)`: polls due at one instant run in the order they were
+/// scheduled, which is the order of the polls that scheduled them, and
+/// engines whose polls coincide twice in a row share a method, so they
+/// were scheduled in engine order. `crates/core/tests/monitor_model.rs`
+/// checks this against that event loop.
 pub fn monitor_listings(
     feeds: &FeedNetwork,
     urls: &[Url],
@@ -108,81 +156,43 @@ pub fn monitor_listings(
     log: &TraceLog,
 ) -> Vec<Observation> {
     let engines = EngineId::all();
-    let mut sched: Scheduler<PollEvent> = Scheduler::new();
-    sched.advance_to(start);
-    for (i, engine) in engines.iter().enumerate() {
-        let period = MonitorMethod::for_engine(*engine).poll_period();
-        sched.schedule_at(start + period, PollEvent { engine_idx: i });
-    }
-
-    // The feeds are frozen while the monitor polls, so every
-    // (engine, URL) listing time can be resolved once up front and
-    // sorted by publication time. Each engine then keeps a cursor into
-    // its sorted listings, advanced monotonically as its poll ticks
-    // arrive: a tick costs O(listings that just became visible), where
-    // the previous implementation rescanned every URL on every tick
-    // (a 21-day NetCraft cadence alone is ~30k ticks × all URLs).
-    let listings: Vec<Vec<(SimTime, usize)>> = engines
-        .iter()
-        .map(|engine| {
-            let mut v: Vec<(SimTime, usize)> = urls
-                .iter()
-                .enumerate()
-                .filter_map(|(i, u)| feeds.listed_at(*engine, u).map(|t| (t, i)))
-                .collect();
-            v.sort_unstable();
-            v
-        })
-        .collect();
-    let mut cursors = vec![0usize; engines.len()];
-
-    let mut observations = Vec::new();
-    let mut batch: Vec<(usize, SimTime)> = Vec::new();
-
-    while let Some((now, ev)) = sched.pop_until(horizon) {
-        let engine = engines[ev.engine_idx];
-        let list = &listings[ev.engine_idx];
-        let cursor = &mut cursors[ev.engine_idx];
-        batch.clear();
-        while let Some(&(listed_at, url_idx)) = list.get(*cursor) {
-            if listed_at > now {
-                break;
+    let mut seen: Vec<(SimTime, SimTime, usize, usize, SimTime)> = Vec::new();
+    for (engine_idx, &engine) in engines.iter().enumerate() {
+        let method = MonitorMethod::for_engine(engine);
+        for (url_idx, url) in urls.iter().enumerate() {
+            let Some(listed_at) = feeds.listed_at(engine, url) else {
+                continue;
+            };
+            let (poll, prev) = method.first_poll_at_or_after(listed_at.since(start));
+            let observed_at = start.saturating_add(poll);
+            if observed_at <= horizon {
+                let prev = start.saturating_add(prev);
+                seen.push((observed_at, prev, engine_idx, url_idx, listed_at));
             }
-            batch.push((url_idx, listed_at));
-            *cursor += 1;
         }
-        // Emit in URL index order — the order the full-scan
-        // implementation produced within one tick.
-        batch.sort_unstable();
-        for &(url_idx, listed_at) in &batch {
+    }
+    seen.sort_unstable();
+    seen.into_iter()
+        .map(|(observed_at, _, engine_idx, url_idx, listed_at)| {
+            let engine = engines[engine_idx];
             let url = &urls[url_idx];
-            observations.push(Observation {
-                engine,
-                url: url.clone(),
-                listed_at,
-                observed_at: now,
-            });
             log.record(TraceEvent {
-                at: now,
+                at: observed_at,
                 kind: TraceKind::Blacklist,
-                src: phishsim_simnet::Ipv4Sim::new(0, 0, 0, 0),
+                src: Ipv4Sim::new(0, 0, 0, 0),
                 host: url.host.clone(),
                 path: url.target(),
                 user_agent: None,
                 actor: engine.key().to_string(),
             });
-        }
-        let elapsed = now.since(start);
-        let period = MonitorMethod::for_engine(engine).poll_period_at(elapsed);
-        sched.schedule_after(
-            period,
-            PollEvent {
-                engine_idx: ev.engine_idx,
-            },
-        );
-    }
-    observations.sort_by_key(|o| o.observed_at);
-    observations
+            Observation {
+                engine,
+                url: url.clone(),
+                listed_at,
+                observed_at,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -243,6 +253,35 @@ mod tests {
             MonitorMethod::FeedDownload.poll_period_at(SimDuration::from_hours(100)),
             SimDuration::from_mins(30)
         );
+    }
+
+    #[test]
+    fn computed_polls_match_stepping_the_period() {
+        let methods = [
+            MonitorMethod::LookupApi,
+            MonitorMethod::FeedDownload,
+            MonitorMethod::NotificationEmail,
+            MonitorMethod::Screenshot,
+        ];
+        for method in methods {
+            // Step the schedule the way an event loop does.
+            let mut polls = vec![SimDuration::ZERO];
+            while *polls.last().unwrap() < SimDuration::from_hours(100) {
+                let last = *polls.last().unwrap();
+                polls.push(last + method.poll_period_at(last));
+            }
+            for minute in (0..95 * 60).step_by(7).chain([72 * 60, 72 * 60 + 1]) {
+                for extra_ms in [0, 1, 59_999] {
+                    let target = SimDuration::from_millis(minute * 60_000 + extra_ms);
+                    let k = polls[1..].partition_point(|&p| p < target) + 1;
+                    assert_eq!(
+                        method.first_poll_at_or_after(target),
+                        (polls[k], polls[k - 1]),
+                        "{method:?} at {target}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl CompromisedSite {
 
     /// Compose a cover bundle with several kits at distinct paths.
     pub fn new_multi(bundle: SiteBundle, kits: Vec<PhishKit>, rng: &DetRng) -> Self {
-        let host = bundle.host.clone();
+        let host = bundle.host().to_string();
         let mut mounted = Vec::with_capacity(kits.len());
         for kit in kits {
             assert!(
@@ -163,7 +163,7 @@ manifest:
 
     /// The cover bundle's host.
     pub fn host(&self) -> &str {
-        &self.bundle.host
+        self.bundle.host()
     }
 
     /// Number of legitimate cover pages.
@@ -195,7 +195,7 @@ impl Handler for CompromisedSite {
 impl std::fmt::Debug for CompromisedSite {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompromisedSite")
-            .field("host", &self.bundle.host)
+            .field("host", &self.bundle.host())
             .field("kit_paths", &self.kit_paths())
             .finish()
     }
@@ -230,6 +230,54 @@ mod tests {
         let resp = site.handle(&Request::get(Url::https("green-energy.com", "/")), &ctx());
         assert_eq!(resp.status, Status::Ok);
         assert!(!PageSummary::from_html(&resp.body).has_login_form());
+        assert_eq!(
+            resp.body,
+            site.bundle.page("/index.php").unwrap().html,
+            "/ serves index.php"
+        );
+        let content = site
+            .bundle
+            .pages()
+            .values()
+            .find(|p| p.path != "/index.php")
+            .unwrap()
+            .clone();
+        let resp = site.handle(
+            &Request::get(Url::https("green-energy.com", &content.path)),
+            &ctx(),
+        );
+        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(resp.body, content.html);
+        let missing = site.handle(
+            &Request::get(Url::https("green-energy.com", "/nope.php")),
+            &ctx(),
+        );
+        assert_eq!(missing.status, Status::NotFound);
+    }
+
+    #[test]
+    fn cover_site_is_built_on_first_cover_request_only() {
+        let mut site = deploy(EvasionTechnique::None).with_leftover_archive("/kit.zip");
+        let kit_path = site.kit_path().to_string();
+        for (path, status) in [
+            (kit_path.as_str(), Status::Ok),
+            ("/img/green.jpg", Status::NotFound),
+            ("/wso.php", Status::NotFound),
+            ("/kit.zip", Status::Ok),
+        ] {
+            let resp = site.handle(&Request::get(Url::https("green-energy.com", path)), &ctx());
+            assert_eq!(resp.status, status, "{path}");
+            assert!(!site.bundle.is_built(), "{path} built the cover site");
+        }
+        let first = site.handle(&Request::get(Url::https("green-energy.com", "/")), &ctx());
+        assert!(site.bundle.is_built());
+        let built: *const _ = site.bundle.pages();
+        let again = site.handle(&Request::get(Url::https("green-energy.com", "/")), &ctx());
+        assert_eq!(first.body, again.body);
+        assert!(
+            std::ptr::eq(built, site.bundle.pages()),
+            "the pages are built once and kept"
+        );
     }
 
     #[test]

@@ -10,11 +10,14 @@
 //! 4. generate 30 `.php` pages under different directories, hyperlinked
 //!    into a fully functional website.
 //!
-//! The output bundle installs directly onto the hosting farm.
+//! The output bundle installs directly onto the hosting farm. It is a
+//! plan until a cover page is asked for: [`FakeSiteGenerator::generate`]
+//! forks the site's RNG stream, and the pages are built from that stream
+//! on the first cover-page lookup.
 
 use crate::vocab;
-use phishsim_http::{Handler, Request, RequestCtx, Response};
 use phishsim_simnet::DetRng;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 /// One generated page.
@@ -29,40 +32,77 @@ pub struct GeneratedPage {
 }
 
 /// A generated website, ready to install (the paper's ".zip package").
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The bundle holds the site's forked RNG stream and builds its pages
+/// from it the first time they are read, with the same draws in the
+/// same order whenever that happens, so the pages do not depend on when
+/// (or whether) they are built. Crawlers request a kit's mount path and
+/// probes request kit, web-shell and archive paths; none of these can
+/// name a cover page, so [`SiteBundle::page`] answers them without
+/// building, and a site nobody browses is never built.
+#[derive(Debug, Clone)]
 pub struct SiteBundle {
-    /// Host the site was generated for.
-    pub host: String,
-    /// Pages by path; always contains `/index.php`.
-    pub pages: BTreeMap<String, GeneratedPage>,
+    host: String,
+    rng: DetRng,
+    pages_per_site: usize,
+    pages: OnceCell<BTreeMap<String, GeneratedPage>>,
 }
 
 impl SiteBundle {
+    /// Host the site was generated for.
+    pub fn host(&self) -> &str {
+        &self.host
+    }
+
+    /// Pages by path; always contains `/index.php`. Builds the site on
+    /// first call.
+    pub fn pages(&self) -> &BTreeMap<String, GeneratedPage> {
+        self.pages.get_or_init(|| self.build())
+    }
+
     /// Number of pages.
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.pages().len()
     }
 
-    /// The page at `path`, if present.
+    /// The page at `path`, if present. Builds the site only when `path`
+    /// has the shape of one of its pages.
     pub fn page(&self, path: &str) -> Option<&GeneratedPage> {
-        self.pages.get(path)
+        if self.could_hold(path) {
+            self.pages().get(path)
+        } else {
+            None
+        }
     }
 
-    /// Convert into an HTTP handler serving the bundle (and Nginx-style
-    /// 404 for unknown paths).
-    pub fn into_handler(self) -> Box<dyn Handler> {
-        Box::new(move |req: &Request, _ctx: &RequestCtx| {
-            let path = req.url.path.as_str();
-            let lookup = if path == "/" { "/index.php" } else { path };
-            match self.pages.get(lookup) {
-                Some(page) => Response::html(page.html.clone()),
-                None => Response::not_found(),
-            }
-        })
+    /// Whether the pages have been built.
+    #[cfg(test)]
+    pub(crate) fn is_built(&self) -> bool {
+        self.pages.get().is_some()
+    }
+
+    /// Whether `path` is `/index.php` or has the shape of content page
+    /// `i`'s path, `/{dir}/…-{i}.php` with `dir` the directory page `i`
+    /// is filed under. Every page path passes; a path that fails cannot
+    /// be a page.
+    fn could_hold(&self, path: &str) -> bool {
+        if path == "/index.php" {
+            return true;
+        }
+        let Some((dir, name)) = path.strip_prefix('/').and_then(|p| p.split_once('/')) else {
+            return false;
+        };
+        let Some((_, index)) = name.strip_suffix(".php").and_then(|n| n.rsplit_once('-')) else {
+            return false;
+        };
+        index
+            .parse::<usize>()
+            .is_ok_and(|i| i < self.pages_per_site && DIRECTORIES[i % DIRECTORIES.len()] == dir)
     }
 }
 
-/// The generator. Construction is cheap; `generate` does the work.
+/// The generator. `generate` only forks the site's RNG stream; the
+/// returned [`SiteBundle`] builds its pages when one is first read.
 #[derive(Debug)]
 pub struct FakeSiteGenerator {
     rng: DetRng,
@@ -91,7 +131,20 @@ impl FakeSiteGenerator {
     /// Generate a complete website for `host` (a registrable domain
     /// name, e.g. `green-energy.com`).
     pub fn generate(&mut self, host: &str) -> SiteBundle {
-        let mut rng = self.rng.fork(&format!("site:{host}"));
+        SiteBundle {
+            host: host.to_string(),
+            rng: self.rng.fork(&format!("site:{host}")),
+            pages_per_site: self.pages_per_site,
+            pages: OnceCell::new(),
+        }
+    }
+}
+
+impl SiteBundle {
+    /// Build the pages from the site's forked stream.
+    fn build(&self) -> BTreeMap<String, GeneratedPage> {
+        let mut rng = self.rng.clone();
+        let host = self.host.as_str();
 
         // Step 1: keywords from the domain name.
         let sld = host.split('.').next().unwrap_or(host);
@@ -177,11 +230,7 @@ impl FakeSiteGenerator {
                 html: index_html,
             },
         );
-
-        SiteBundle {
-            host: host.to_string(),
-            pages,
-        }
+        pages
     }
 }
 
@@ -215,11 +264,35 @@ fn render_page(
 mod tests {
     use super::*;
     use phishsim_html::PageSummary;
-    use phishsim_http::{Status, Url};
-    use phishsim_simnet::{Ipv4Sim, SimTime};
 
     fn generate(host: &str) -> SiteBundle {
         FakeSiteGenerator::new(&DetRng::new(11)).generate(host)
+    }
+
+    /// FNV-1a over every page's path, title and HTML, in path order.
+    fn site_digest(b: &SiteBundle) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for page in b.pages().values() {
+            for field in [&page.path, &page.title, &page.html] {
+                for &byte in field.as_bytes().iter().chain(&[0xff]) {
+                    h ^= u64::from(byte);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn cover_pages_match_golden_digests() {
+        // Recorded from the eager generator that built every page inside
+        // `generate`; the lazy build must draw the same stream.
+        assert_eq!(
+            site_digest(&generate("green-energy.com")),
+            0x5fe5_b218_e981_64b2
+        );
+        // Keywordless: the dictionary-pick branch draws first.
+        assert_eq!(site_digest(&generate("x9z.com")), 0x7eb2_e0e0_13a0_9ac5);
     }
 
     #[test]
@@ -233,7 +306,7 @@ mod tests {
     fn pages_live_in_different_directories() {
         let b = generate("green-energy.com");
         let dirs: std::collections::HashSet<&str> = b
-            .pages
+            .pages()
             .keys()
             .filter(|p| *p != "/index.php")
             .map(|p| p.split('/').nth(1).unwrap())
@@ -248,12 +321,12 @@ mod tests {
     fn pages_are_hyperlinked() {
         let b = generate("green-energy.com");
         let mut total_links = 0;
-        for page in b.pages.values() {
+        for page in b.pages().values() {
             let s = PageSummary::from_html(&page.html);
             let internal: Vec<&String> = s
                 .links
                 .iter()
-                .filter(|l| b.pages.contains_key(l.as_str()))
+                .filter(|l| b.pages().contains_key(l.as_str()))
                 .collect();
             total_links += internal.len();
         }
@@ -278,7 +351,7 @@ mod tests {
                 .iter()
                 .map(|s| s.to_string()),
         );
-        for page in b.pages.values() {
+        for page in b.pages().values() {
             if vocab_words
                 .iter()
                 .any(|w| page.title.to_lowercase().contains(w))
@@ -295,7 +368,7 @@ mod tests {
     #[test]
     fn no_login_forms_on_cover_sites() {
         let b = generate("harbor-view.net");
-        for page in b.pages.values() {
+        for page in b.pages().values() {
             let s = PageSummary::from_html(&page.html);
             assert!(
                 !s.has_login_form(),
@@ -315,35 +388,51 @@ mod tests {
     fn generation_is_deterministic_per_host() {
         let a = generate("green-energy.com");
         let b = generate("green-energy.com");
-        assert_eq!(a, b);
+        assert_eq!(a.pages(), b.pages());
         let c = generate("other-site.com");
         assert_ne!(
-            a.pages.keys().collect::<Vec<_>>(),
-            c.pages.keys().collect::<Vec<_>>()
+            a.pages().keys().collect::<Vec<_>>(),
+            c.pages().keys().collect::<Vec<_>>()
         );
     }
 
     #[test]
-    fn handler_serves_pages_and_404s() {
+    fn every_page_path_is_a_cover_path() {
+        for pages_per_site in [0, 1, 7, 30] {
+            for host in ["green-energy.com", "x9z.com", "a-b-c.org"] {
+                let mut generator = FakeSiteGenerator::new(&DetRng::new(5));
+                generator.pages_per_site = pages_per_site;
+                let b = generator.generate(host);
+                assert_eq!(b.page_count(), pages_per_site + 1);
+                for path in b.pages().keys() {
+                    assert!(b.could_hold(path), "{host}: {path} not recognised");
+                    assert_eq!(b.page(path).map(|p| &p.path), Some(path));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_cover_paths_answer_without_building() {
         let b = generate("green-energy.com");
-        let first_path = b.pages.keys().find(|p| *p != "/index.php").unwrap().clone();
-        let mut handler = b.into_handler();
-        let ctx = RequestCtx {
-            src: Ipv4Sim::new(1, 1, 1, 1),
-            actor: "test",
-            now: SimTime::ZERO,
-        };
-        let ok = handler.handle(
-            &Request::get(Url::https("green-energy.com", &first_path)),
-            &ctx,
-        );
-        assert_eq!(ok.status, Status::Ok);
-        let root = handler.handle(&Request::get(Url::https("green-energy.com", "/")), &ctx);
-        assert_eq!(root.status, Status::Ok, "/ serves index.php");
-        let missing = handler.handle(
-            &Request::get(Url::https("green-energy.com", "/nope.php")),
-            &ctx,
-        );
-        assert_eq!(missing.status, Status::NotFound);
+        for path in [
+            "/",
+            "/secure/login.php",
+            "/account/verify.php",
+            "/img/green.jpg",
+            "/favicon.ico",
+            "/wso.php",
+            "/kit.zip",
+            "/articles/green.php",
+            "/articles/green-energy-1.php",
+            "/articles/green-energy-30.php",
+            "/articles/green-energy-x.php",
+            "/articles/green-energy-0.html",
+        ] {
+            assert!(b.page(path).is_none(), "{path}");
+            assert!(!b.is_built(), "{path} built the site");
+        }
+        assert!(b.page("/articles/nope-0.php").is_none());
+        assert!(b.is_built(), "a cover-shaped path builds the site");
     }
 }

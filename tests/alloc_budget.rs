@@ -1,13 +1,15 @@
-//! Allocation budget of Table 2's background-probe path.
+//! Allocation budgets of the main experiment.
 //!
 //! At paper volume the main experiment sends 630,330 background
 //! requests through the engines' probe loop, the world's DNS step, the
 //! hosting farm and the gate handlers, and each one lands in the access
-//! log. This test counts heap allocations made on its own thread while
+//! log. One test counts heap allocations made on its own thread while
 //! the experiment runs at two traffic volumes, and bounds the extra
-//! allocations per extra access-log entry. The count is deterministic
-//! (same seed, same calls), so the bound cannot flake; it fails when a
-//! change puts per-request allocations back on the path.
+//! allocations per extra access-log entry. The other bounds a whole
+//! fast run, whose cost is per-run setup and browser visits: it fails
+//! when setup goes back to building cover sites nobody requests or
+//! stepping the monitor's poll ticks one by one. The counts are
+//! deterministic (same seed, same calls), so the bounds cannot flake.
 
 use phishsim::experiment::{run_main_experiment, MainConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -17,6 +19,9 @@ use std::cell::Cell;
 /// request causes: the probe loop, DNS, the farm's log append and the
 /// handler's response.
 const BUDGET_PER_REQUEST: f64 = 10.0;
+
+/// Allocations allowed for one `MainConfig::fast()` run.
+const FAST_RUN_BUDGET: u64 = 50_000;
 
 struct Counting;
 
@@ -87,5 +92,18 @@ fn background_requests_stay_within_the_allocation_budget() {
     assert!(
         per_request <= BUDGET_PER_REQUEST,
         "{per_request:.2} allocations per background request, budget {BUDGET_PER_REQUEST}"
+    );
+}
+
+#[test]
+fn fast_run_stays_within_the_allocation_budget() {
+    let before = ALLOCS.with(Cell::get);
+    let result = run_main_experiment(&MainConfig::fast());
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(result.table.total.total, 105);
+    eprintln!("one fast run: {allocs} allocations");
+    assert!(
+        allocs <= FAST_RUN_BUDGET,
+        "{allocs} allocations in one fast run, budget {FAST_RUN_BUDGET}"
     );
 }
