@@ -12,14 +12,14 @@
 //! through the transport, so the hosting farm's access log sees the
 //! same request mix the paper analysed.
 
-use crate::classifier::{classify, Classification};
+use crate::classifier::classify;
 use crate::kit_probe;
 use crate::profiles::{EngineId, EngineProfile};
-use crate::sharedcache::{RunCaches, VerdictStore};
+use crate::sharedcache::RunCaches;
 use parking_lot::Mutex;
 use phishsim_browser::rendercache::content_hash;
 use phishsim_browser::{
-    BrowseStep, Browser, BrowserConfig, DialogPolicy, FetchError, PageView, RenderCache, Transport,
+    BrowseStep, Browser, BrowserConfig, DialogPolicy, FetchError, PageView, Transport,
 };
 use phishsim_captcha::CaptchaProvider;
 use phishsim_http::{Request, Url, UserAgent};
@@ -29,16 +29,6 @@ use phishsim_simnet::{
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Whether the content-keyed render/classification caches are enabled.
-/// On by default; set `PHISHSIM_RENDER_CACHE=0` (or `off`/`false`) to
-/// disable — results are byte-identical either way, only speed changes.
-pub fn render_cache_enabled() -> bool {
-    !matches!(
-        std::env::var("PHISHSIM_RENDER_CACHE").as_deref(),
-        Ok("0") | Ok("off") | Ok("false")
-    )
-}
 
 /// How the payload was reached, when it was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -99,15 +89,10 @@ pub struct Engine {
     /// Recently processed URLs for report deduplication, keyed by a
     /// query-stripped URL hash (no per-check String materialization).
     recent_reports: std::collections::HashMap<u64, SimTime>,
-    /// Render cache shared by every browser this engine spawns. `None`
-    /// when disabled via `PHISHSIM_RENDER_CACHE=0`.
-    render_cache: Option<Arc<RenderCache>>,
-    /// Memoized page classifications keyed by (body hash, host hash).
-    /// The private fallback when no shared store is attached.
-    classify_cache: std::collections::HashMap<(u64, u64), Classification>,
-    /// Run-level verdict store shared with the run's other engines
-    /// (see [`RunCaches`]); replaces `classify_cache` when present.
-    shared_verdicts: Option<Arc<VerdictStore>>,
+    /// The render cache every browser this engine spawns renders
+    /// through, and the verdict store it classifies through: the
+    /// engine's own pair, or its run's ([`Engine::with_run_caches`]).
+    caches: RunCaches,
     classify_hits: u64,
     classify_misses: u64,
     /// Retry policy for transient crawl failures (lost exchanges,
@@ -164,9 +149,7 @@ impl Engine {
             rng: rng.fork(&format!("engine:{}", id.key())),
             captcha_provider: None,
             recent_reports: std::collections::HashMap::new(),
-            render_cache: render_cache_enabled().then(|| Arc::new(RenderCache::new())),
-            classify_cache: std::collections::HashMap::new(),
-            shared_verdicts: None,
+            caches: RunCaches::fresh(),
             classify_hits: 0,
             classify_misses: 0,
             retry_policy: RetryPolicy::crawl_default(),
@@ -193,32 +176,21 @@ impl Engine {
         self
     }
 
-    /// Attach a run's shared caches (builder style): the engine's
-    /// private render cache is replaced by the run-level one and
-    /// classifications go through the shared [`VerdictStore`]. Both
-    /// cached products are pure in their keys, so swapping the private
-    /// caches for shared ones never changes an outcome — the caller
-    /// (the experiment harness) only does this when
-    /// [`render_cache_enabled`] and
-    /// [`shared_cache_enabled`](crate::shared_cache_enabled) both hold.
+    /// Render and classify through a run's caches, shared with the
+    /// run's other engines (builder style). Both cached products are
+    /// pure in their keys, so sharing never changes an outcome.
     pub fn with_run_caches(mut self, caches: &RunCaches) -> Self {
-        self.render_cache = Some(Arc::clone(&caches.render));
-        self.shared_verdicts = Some(Arc::clone(&caches.verdicts));
+        self.caches = caches.clone();
         self
     }
 
-    /// Drop the engine's per-run caches, as a freshly restarted worker
-    /// process would: the private render cache is rebuilt empty (when
-    /// enabled at all) and the private classification memo is cleared.
-    /// Run-level *shared* caches survive — they live outside the worker
-    /// process. Both cached products are pure in their keys, so a cold
-    /// cache re-derives identical values and outcomes never change;
-    /// only the hit/miss counters feel the restart.
+    /// Replace the engine's caches with an empty pair, as a freshly
+    /// restarted worker process would start. Both cached products are
+    /// pure in their keys, so a cold cache re-derives identical values
+    /// and outcomes never change; only the hit/miss counters feel the
+    /// restart.
     pub fn reset_run_caches(&mut self) {
-        if self.render_cache.is_some() && self.shared_verdicts.is_none() {
-            self.render_cache = Some(Arc::new(RenderCache::new()));
-        }
-        self.classify_cache.clear();
+        self.caches = RunCaches::fresh();
     }
 
     /// Deduplication key: FNV-1a over scheme, host and path — the
@@ -251,38 +223,25 @@ impl Engine {
     /// determined by the body hash — so (body, host) keys the verdict.
     fn classify_score(&mut self, view: &PageView, host: &str) -> f64 {
         self.obs.incr("engine.classifications");
-        let mode = self.profile.classifier_mode;
-        if let Some(store) = &self.shared_verdicts {
-            let key = (view.body_hash, content_hash(host));
-            let (c, hit) = store.get_or_compute(key, || classify(&view.summary, host));
-            if hit {
-                self.classify_hits += 1;
-            } else {
-                self.classify_misses += 1;
-            }
-            return c.score(mode);
-        }
-        if self.render_cache.is_none() {
-            return classify(&view.summary, host).score(mode);
-        }
         let key = (view.body_hash, content_hash(host));
-        if let Some(c) = self.classify_cache.get(&key) {
+        let (score, hit) = self
+            .caches
+            .verdicts
+            .score(key, self.profile.classifier_mode, || {
+                classify(&view.summary, host)
+            });
+        if hit {
             self.classify_hits += 1;
-            return c.score(mode);
+        } else {
+            self.classify_misses += 1;
         }
-        self.classify_misses += 1;
-        let c = classify(&view.summary, host);
-        let score = c.score(mode);
-        self.classify_cache.insert(key, c);
         score
     }
 
-    /// Hit/miss counters for the render and classification caches.
+    /// Hit/miss counters for the render cache, plus this engine's own
+    /// classification hits and misses.
     pub fn cache_counters(&self) -> CounterSet {
-        let mut c = match &self.render_cache {
-            Some(rc) => rc.counters(),
-            None => CounterSet::new(),
-        };
+        let mut c = self.caches.render.counters();
         c.add("classify_cache.hit", self.classify_hits);
         c.add("classify_cache.miss", self.classify_misses);
         c
@@ -356,13 +315,11 @@ impl Engine {
             max_effect_rounds: 3,
         };
         let src = self.pool.draw(&mut self.rng);
-        let mut browser =
-            Browser::new(config, src, self.profile.id.key()).with_obs(self.obs.clone());
+        let mut browser = Browser::new(config, src, self.profile.id.key())
+            .with_obs(self.obs.clone())
+            .with_render_cache(Arc::clone(&self.caches.render));
         if let Some(p) = &self.captcha_provider {
             browser = browser.with_captcha_provider(Arc::clone(p));
-        }
-        if let Some(cache) = &self.render_cache {
-            browser = browser.with_render_cache(Arc::clone(cache));
         }
         // Each browser gets its own retry stream; forking never consumes
         // the engine stream, so this is free when no faults occur.
@@ -1118,51 +1075,32 @@ mod tests {
     }
 
     #[test]
-    fn caches_disabled_by_env_are_absent() {
-        // `render_cache_enabled` is read at engine construction; a
-        // profile built while the override is off carries no caches and
-        // reports zero counter activity.
-        let mut engine = Engine {
-            render_cache: None,
-            ..Engine::new(EngineId::Gsb, &DetRng::new(1))
-        };
-        let mut d = deploy(Brand::PayPal, GateConfig::simple(EvasionTechnique::None));
-        engine.process_report(&mut d.transport, &d.url, SimTime::from_mins(60), SCALE);
-        assert_eq!(engine.cache_counters().total(), 0);
-    }
-
-    #[test]
-    fn shared_and_frozen_caches_do_not_change_outcomes() {
-        // The shared-cache correctness bar: a run with per-engine
-        // caches, a run on a fresh shared cache pair, and a run served
-        // by a frozen tier must produce identical outcomes.
-        let run_with = |caches: Option<&RunCaches>| {
+    fn warm_caches_do_not_change_outcomes() {
+        // The caches' correctness bar: a report processed on fresh
+        // caches and the same report processed on caches already warmed
+        // by an identical report must produce identical outcomes, and
+        // the warm run must render and classify nothing anew.
+        let run_with = |caches: &RunCaches| {
             let mut d = deploy(Brand::PayPal, GateConfig::simple(EvasionTechnique::None));
-            let mut engine = Engine::new(EngineId::Gsb, &DetRng::new(2020));
-            if let Some(c) = caches {
-                engine = engine.with_run_caches(c);
-            }
+            let mut engine = Engine::new(EngineId::Gsb, &DetRng::new(2020)).with_run_caches(caches);
             engine.process_report(&mut d.transport, &d.url, SimTime::from_mins(60), SCALE)
         };
-        let baseline = run_with(None);
+        let cold = run_with(&RunCaches::fresh());
         let warm = RunCaches::fresh();
-        let shared = run_with(Some(&warm));
-        assert_eq!(format!("{baseline:?}"), format!("{shared:?}"));
-
-        let frozen = warm.freeze();
-        let (renders, verdicts) = frozen.sizes();
-        assert!(renders > 0 && verdicts > 0, "warm run must populate both");
-        let thawed = RunCaches::thawed(&frozen);
-        let from_frozen = run_with(Some(&thawed));
-        assert_eq!(format!("{baseline:?}"), format!("{from_frozen:?}"));
-        assert!(
-            thawed.render.frozen_hits() > 0,
-            "identical rerun must be served by the frozen tier"
-        );
-        assert!(
-            thawed.render.is_empty(),
-            "no new renders enter the overlay on an identical rerun"
-        );
+        run_with(&warm);
+        let before = warm.counters();
+        assert!(before.get("render_cache.miss") > 0 && before.get("verdict_store.miss") > 0);
+        let rerun = run_with(&warm);
+        assert_eq!(format!("{cold:?}"), format!("{rerun:?}"));
+        let after = warm.counters();
+        for miss in ["render_cache.miss", "verdict_store.miss"] {
+            assert_eq!(
+                after.get(miss),
+                before.get(miss),
+                "warm rerun added a {miss}"
+            );
+        }
+        assert!(after.get("render_cache.hit") > before.get("render_cache.hit"));
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //!   credential logs).
 //! * [`intake`] — report channels (online form vs email) and the
 //!   PhishLabs abuse-notification side effect.
-//! * [`sharedcache`] — run-level render/verdict caches shared by all
-//!   engines of a run, plus the frozen read-only tier a sweep builds
-//!   once and shares (lock-free) across its workers.
+//! * [`sharedcache`] — the render cache and verdict store an engine
+//!   classifies through; the main experiment shares one pair across
+//!   all engines of a run.
 //! * [`engine`] — the crawl pipeline tying it together: intake → visits
 //!   (with the browser capability profile) → form submission →
 //!   classification → verdict, plus background crawl traffic shaped so
@@ -56,7 +56,7 @@ pub mod voting;
 
 pub use blacklist::Blacklist;
 pub use classifier::{classify, Classification, ClassifierMode};
-pub use engine::{render_cache_enabled, Engine, ReportOutcome};
+pub use engine::{Engine, ReportOutcome};
 pub use feeds::{FeedEdge, FeedNetwork};
 pub use fleet::{
     run_fleet, EgressPool, FarmLimiter, FleetConfig, FleetOutcome, FleetResult, QueueDiscipline,
@@ -65,5 +65,5 @@ pub use fleet::{
 pub use intake::ReportChannel;
 pub use profiles::{CapabilityUpgrade, DeepPass, EngineId, EngineProfile};
 pub use sbapi::{full_hash, HashPrefix, SbClient, SbServer, SbVerdict};
-pub use sharedcache::{shared_cache_enabled, FrozenCaches, RunCaches, VerdictStore};
+pub use sharedcache::{RunCaches, VerdictStore};
 pub use voting::{SubmissionView, Vote, VoterProfile, VotingQueue};

@@ -1,51 +1,20 @@
-//! Run-level and sweep-level shared caches.
+//! The render cache and verdict store an [`Engine`](crate::Engine)
+//! classifies through.
 //!
-//! The render cache and the classification memo used to live inside
-//! each [`Engine`](crate::Engine): six engines in one experiment run
-//! parsed and classified the same page bodies six times over, and a
-//! sweep of near-identical runs repeated all of that work per run.
 //! Both cached products are pure functions of their keys — a render of
 //! the body, a [`Classification`] of `(body, host)` (engine-specific
-//! [`ClassifierMode`](crate::ClassifierMode) scoring is applied *after*
-//! the lookup) — so the caches can be shared across engines, and even
-//! across runs, without any result changing.
-//!
-//! Two tiers:
-//!
-//! * [`RunCaches`] — one mutable cache pair per experiment run, handed
-//!   to every engine of that run.
-//! * [`FrozenCaches`] — an immutable snapshot of a finished run's
-//!   caches ([`RunCaches::freeze`]). A sweep builds one from a warm-up
-//!   run and threads it into every subsequent run's [`RunCaches`]:
-//!   frozen hits are lock-free reads of `Arc`-shared maps, so parallel
-//!   sweep workers share them without contention.
-//!
-//! Gated by `PHISHSIM_SHARED_CACHE` (default on). Disabling restores
-//! the per-engine caches; either way the output bytes are identical —
-//! `tests/perf_determinism.rs` holds that bar.
+//! [`ClassifierMode`] scoring is applied *after* the lookup) — so one
+//! [`RunCaches`] pair can serve every engine of an experiment run
+//! without any result changing: six engines crawling the same page
+//! bodies parse and classify each body once. Outside the main
+//! experiment each engine holds a pair of its own.
 
-use crate::classifier::Classification;
+use crate::classifier::{Classification, ClassifierMode};
 use parking_lot::Mutex;
-use phishsim_browser::{FrozenRenderCache, RenderCache};
+use phishsim_browser::RenderCache;
 use phishsim_simnet::metrics::CounterSet;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// True unless `PHISHSIM_SHARED_CACHE` is set to `0`/`off`/`false`.
-///
-/// Controls whether experiment runs build one cache pair shared by all
-/// engines (and accept a sweep-level frozen tier), or fall back to the
-/// historical per-engine caches. Results are byte-identical either way.
-pub fn shared_cache_enabled() -> bool {
-    match std::env::var("PHISHSIM_SHARED_CACHE") {
-        Ok(v) => {
-            let v = v.trim();
-            !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false"))
-        }
-        Err(_) => true,
-    }
-}
 
 /// Key of one memoized classification: (body hash, host hash).
 pub type VerdictKey = (u64, u64);
@@ -58,100 +27,61 @@ struct StoreInner {
 }
 
 /// A content-keyed store of page [`Classification`]s, shareable across
-/// the engines of a run, with an optional frozen base tier.
+/// the engines of a run.
 ///
 /// The classifier is pure in `(page summary, host)` and the summary is
 /// fully determined by the body hash, so `(body_hash, host_hash)` keys
 /// the verdict for every engine; each engine applies its own
-/// [`ClassifierMode`](crate::ClassifierMode) scoring to the shared
-/// classification afterwards.
+/// [`ClassifierMode`] scoring to the shared classification.
 #[derive(Debug, Default)]
 pub struct VerdictStore {
-    frozen: Option<Arc<HashMap<VerdictKey, Classification>>>,
-    frozen_hits: AtomicU64,
     inner: Mutex<StoreInner>,
 }
 
 impl VerdictStore {
-    /// An empty store with no frozen tier.
+    /// An empty store.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty overlay on top of a frozen base tier.
-    pub fn with_frozen(frozen: Arc<HashMap<VerdictKey, Classification>>) -> Self {
-        VerdictStore {
-            frozen: Some(frozen),
-            ..Self::default()
-        }
-    }
-
-    /// Look up `key`, computing and memoizing via `compute` on a miss.
-    /// Returns the classification and whether it was served from cache.
-    pub fn get_or_compute(
+    /// Score the classification stored under `key` in `mode`,
+    /// computing and storing it via `compute` on a miss. Returns the
+    /// score and whether the classification was served from the store.
+    /// Scoring happens under the store's lock, so a hit copies out one
+    /// `f64` and never clones the classification.
+    pub fn score(
         &self,
         key: VerdictKey,
+        mode: ClassifierMode,
         compute: impl FnOnce() -> Classification,
-    ) -> (Classification, bool) {
-        if let Some(c) = self.frozen.as_ref().and_then(|f| f.get(&key)) {
-            self.frozen_hits.fetch_add(1, Ordering::Relaxed);
-            return (c.clone(), true);
-        }
+    ) -> (f64, bool) {
         let mut inner = self.inner.lock();
         if let Some(c) = inner.entries.get(&key) {
-            let c = c.clone();
+            let score = c.score(mode);
             inner.hits += 1;
-            return (c, true);
+            return (score, true);
         }
         inner.misses += 1;
         let c = compute();
-        inner.entries.insert(key, c.clone());
-        (c, false)
-    }
-
-    /// Snapshot frozen tier plus overlay as a new frozen tier.
-    pub fn freeze(&self) -> Arc<HashMap<VerdictKey, Classification>> {
-        let mut entries: HashMap<VerdictKey, Classification> = match &self.frozen {
-            Some(f) => (**f).clone(),
-            None => HashMap::new(),
-        };
-        let inner = self.inner.lock();
-        for (k, v) in &inner.entries {
-            entries.entry(*k).or_insert_with(|| v.clone());
-        }
-        Arc::new(entries)
-    }
-
-    /// Distinct verdicts in the overlay tier.
-    pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// True if the overlay holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let score = c.score(mode);
+        inner.entries.insert(key, c);
+        (score, false)
     }
 
     /// Hit/miss counters (`verdict_store.*`) for instrumentation.
     pub fn counters(&self) -> CounterSet {
-        let (hits, misses) = {
-            let inner = self.inner.lock();
-            (inner.hits, inner.misses)
-        };
+        let inner = self.inner.lock();
         let mut c = CounterSet::new();
-        c.add("verdict_store.hit", hits);
-        c.add("verdict_store.miss", misses);
-        c.add(
-            "verdict_store.frozen_hit",
-            self.frozen_hits.load(Ordering::Relaxed),
-        );
+        c.add("verdict_store.hit", inner.hits);
+        c.add("verdict_store.miss", inner.misses);
         c
     }
 }
 
-/// One run's shared cache pair: a render cache and a verdict store,
-/// both attached to every engine of the run.
-#[derive(Debug, Default)]
+/// A render cache and a verdict store: one engine's own pair, or one
+/// run's pair attached to every engine of the run. Cloning shares the
+/// caches.
+#[derive(Debug, Clone, Default)]
 pub struct RunCaches {
     /// Render products keyed by body hash.
     pub render: Arc<RenderCache>,
@@ -160,26 +90,9 @@ pub struct RunCaches {
 }
 
 impl RunCaches {
-    /// Fresh caches with no frozen tier (the first run of a sweep, or
-    /// a standalone run).
+    /// An empty pair.
     pub fn fresh() -> Self {
         Self::default()
-    }
-
-    /// Caches whose base tier is a finished run's frozen snapshot.
-    pub fn thawed(frozen: &FrozenCaches) -> Self {
-        RunCaches {
-            render: Arc::new(RenderCache::with_frozen(frozen.render.clone())),
-            verdicts: Arc::new(VerdictStore::with_frozen(Arc::clone(&frozen.verdicts))),
-        }
-    }
-
-    /// Snapshot both caches as an immutable sweep-level tier.
-    pub fn freeze(&self) -> FrozenCaches {
-        FrozenCaches {
-            render: self.render.freeze(),
-            verdicts: self.verdicts.freeze(),
-        }
     }
 
     /// Combined cache counters for both members.
@@ -190,26 +103,11 @@ impl RunCaches {
     }
 }
 
-/// An immutable snapshot of a run's caches, cheap to clone (`Arc`s)
-/// and safe to share across sweep workers: lookups never lock.
-#[derive(Debug, Clone, Default)]
-pub struct FrozenCaches {
-    /// Frozen render tier.
-    pub render: FrozenRenderCache,
-    /// Frozen verdict tier.
-    pub verdicts: Arc<HashMap<VerdictKey, Classification>>,
-}
-
-impl FrozenCaches {
-    /// (frozen renders, frozen verdicts) — sizing for logs and tests.
-    pub fn sizes(&self) -> (usize, usize) {
-        (self.render.len(), self.verdicts.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::classify;
+    use phishsim_browser::Rendered;
 
     fn verdict(sig: f64) -> Classification {
         Classification {
@@ -223,66 +121,42 @@ mod tests {
     fn store_memoizes_and_counts() {
         let store = VerdictStore::new();
         let key = (1, 2);
-        let (a, hit_a) = store.get_or_compute(key, || verdict(0.9));
-        let (b, hit_b) = store.get_or_compute(key, || panic!("must not recompute"));
+        let mode = ClassifierMode::SignatureOnly;
+        let (a, hit_a) = store.score(key, mode, || verdict(0.9));
+        let (b, hit_b) = store.score(key, mode, || panic!("must not recompute"));
         assert!(!hit_a);
         assert!(hit_b);
         assert_eq!(a, b);
         assert_eq!(store.counters().get("verdict_store.hit"), 1);
         assert_eq!(store.counters().get("verdict_store.miss"), 1);
-        assert_eq!(store.len(), 1);
     }
 
     #[test]
-    fn frozen_tier_serves_verdicts_lock_free() {
-        let warm = VerdictStore::new();
-        warm.get_or_compute((7, 7), || verdict(0.5));
-        let store = VerdictStore::with_frozen(warm.freeze());
-        let (c, hit) = store.get_or_compute((7, 7), || panic!("frozen tier must serve this"));
-        assert!(hit);
-        assert_eq!(c, verdict(0.5));
-        assert!(store.is_empty(), "overlay untouched on frozen hits");
-        assert_eq!(store.counters().get("verdict_store.frozen_hit"), 1);
-        // A novel key falls through to the overlay and refreezes.
-        store.get_or_compute((8, 8), || verdict(0.25));
-        assert_eq!(store.freeze().len(), 2);
-    }
-
-    #[test]
-    fn run_caches_freeze_and_thaw_round_trip() {
-        let run = RunCaches::fresh();
-        run.render.render("<html><title>warm</title></html>");
-        run.verdicts.get_or_compute((3, 4), || verdict(0.75));
-        let frozen = run.freeze();
-        assert_eq!(frozen.sizes(), (1, 1));
-
-        let next = RunCaches::thawed(&frozen);
-        let (_, hit) = next
-            .verdicts
-            .get_or_compute((3, 4), || panic!("thawed tier"));
-        assert!(hit);
-        next.render.render("<html><title>warm</title></html>");
-        assert_eq!(next.render.frozen_hits(), 1);
-        assert!(next.render.is_empty());
-        // Counters merge across both members.
-        assert_eq!(next.counters().get("render_cache.frozen_hit"), 1);
-        assert_eq!(next.counters().get("verdict_store.frozen_hit"), 1);
-    }
-
-    #[test]
-    fn gate_defaults_on_and_parses_off_values() {
-        let prev = std::env::var("PHISHSIM_SHARED_CACHE").ok();
-        std::env::remove_var("PHISHSIM_SHARED_CACHE");
-        assert!(shared_cache_enabled());
-        for off in ["0", "off", "FALSE", " 0 "] {
-            std::env::set_var("PHISHSIM_SHARED_CACHE", off);
-            assert!(!shared_cache_enabled(), "{off:?} must disable");
+    fn verdict_hits_score_like_direct_classification() {
+        // A cached verdict scored under any mode must equal scoring a
+        // fresh `classify` of the same page: the store is keyed by page
+        // content only, and each engine's mode is applied after lookup.
+        let host = "paypal-account-check.example";
+        let body = "<html><title>PayPal: Log in to your account</title>\
+                    <form action=\"/login\"><input type=\"text\" name=\"email\">\
+                    <input type=\"password\" name=\"pass\"></form></html>";
+        let page = Rendered::compute(body);
+        let direct = classify(&page.summary, host);
+        let key = (page.body_hash, 7);
+        let store = VerdictStore::new();
+        let modes = [
+            ClassifierMode::SignatureAndHeuristics,
+            ClassifierMode::SignatureOnly,
+        ];
+        let (first, hit) = store.score(key, modes[0], || classify(&page.summary, host));
+        assert!(!hit);
+        assert_eq!(first, direct.score(modes[0]));
+        for mode in modes {
+            let (score, hit) = store.score(key, mode, || panic!("must be a hit"));
+            assert!(hit);
+            assert_eq!(score, direct.score(mode), "{mode:?}");
         }
-        std::env::set_var("PHISHSIM_SHARED_CACHE", "1");
-        assert!(shared_cache_enabled());
-        match prev {
-            Some(v) => std::env::set_var("PHISHSIM_SHARED_CACHE", v),
-            None => std::env::remove_var("PHISHSIM_SHARED_CACHE"),
-        }
+        assert!(direct.score(modes[0]) > 0.0, "the page must score");
+        assert_eq!(store.counters().get("verdict_store.hit"), 2);
     }
 }

@@ -12,8 +12,8 @@
 
 use phishsim_antiphish::{EngineId, FeedNetwork};
 use phishsim_core::experiment::{run_preliminary, PreliminaryConfig};
-use phishsim_core::runner::run_sweep;
 use phishsim_http::Url;
+use phishsim_simnet::runner::run_sweep;
 use phishsim_simnet::{DetRng, SimTime};
 
 fn main() {

@@ -5,33 +5,31 @@
 //! cargo run --release -p phishsim-bench --bin bench_baseline [--quick]
 //! ```
 //!
-//! Times the two single-run table harnesses with the render/verdict
-//! cache on and off, a `run_sweep` seed sweep serially and at full
-//! parallelism, and the feedserve distribution layer (store build,
-//! diff compute/apply, lookup throughput, diff-vs-snapshot bytes),
-//! then writes a machine-readable record. Re-run after perf-relevant
-//! changes and compare against the committed baseline (`BENCH_1` is
-//! the pre-feedserve record, kept for history);
-//! `--quick` shrinks reps and the sweep size for CI-style smoke runs.
+//! Times the two single-run table harnesses, a `run_sweep` seed sweep
+//! serially and at full parallelism, and the feedserve distribution
+//! layer (store build, diff compute/apply, lookup throughput,
+//! diff-vs-snapshot bytes), then writes a machine-readable record.
+//! Re-run after perf-relevant changes and compare against the
+//! committed baseline (`BENCH_1` is the pre-feedserve record, kept for
+//! history); `--quick` shrinks reps and the sweep size for CI-style
+//! smoke runs.
 //!
 //! `BENCH_4` adds the thread-scaling artifact: a 1,000-run seed sweep
 //! timed at 1/2/4/8/16 worker threads (runs/sec per point, results
-//! asserted byte-identical at every point), plus the sweep-level
-//! frozen-cache tier timed cold vs thawed on repeated same-config
-//! runs. Speedup floors are asserted only when `host_parallelism`
-//! provides the cores — the record always states what the host was.
+//! asserted byte-identical at every point). Speedup floors are asserted
+//! only when `host_parallelism` provides the cores — the record always
+//! states what the host was.
 //!
-//! The harness also cross-checks determinism: Table 2 cells must be
-//! identical with the cache on and off, and the sweep histogram must be
-//! identical at 1 thread and N threads. A mismatch aborts the run.
+//! The harness also cross-checks determinism: the sweep histogram must
+//! be identical at 1 thread and N threads, and a no-fault run must
+//! reproduce Table 2. A mismatch aborts the run.
 
-use phishsim_antiphish::render_cache_enabled;
 use phishsim_bench::write_record;
 use phishsim_core::experiment::{
     run_main_experiment, run_preliminary, MainConfig, PreliminaryConfig,
 };
-use phishsim_core::runner::{run_sweep_profiled, run_sweep_with_threads, sweep_threads};
 use phishsim_feedserve::{PrefixDiff, PrefixStore};
+use phishsim_simnet::runner::{run_sweep_profiled, run_sweep_with_threads, sweep_threads};
 use phishsim_simnet::{FaultInjector, ObsSink};
 use std::time::Instant;
 
@@ -62,39 +60,6 @@ fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     (best, out)
 }
 
-fn set_cache(on: bool) {
-    std::env::set_var("PHISHSIM_RENDER_CACHE", if on { "1" } else { "0" });
-    assert_eq!(render_cache_enabled(), on);
-}
-
-/// Best-of-`reps` paired wall times in milliseconds, cache on vs off.
-/// The two settings are interleaved within each rep so slow drift in
-/// background load hits both sides equally — unpaired best-of-N is
-/// dominated by that drift on busy machines.
-fn time_pair<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, f64, R, R) {
-    let mut run = |on: bool| {
-        set_cache(on);
-        let start = Instant::now();
-        let out = f();
-        (start.elapsed().as_secs_f64() * 1e3, out)
-    };
-    let (mut best_on, mut best_off) = (f64::INFINITY, f64::INFINITY);
-    let (t, mut out_on) = run(true);
-    best_on = best_on.min(t);
-    let (t, mut out_off) = run(false);
-    best_off = best_off.min(t);
-    for _ in 1..reps {
-        let (t, o) = run(true);
-        best_on = best_on.min(t);
-        out_on = o;
-        let (t, o) = run(false);
-        best_off = best_off.min(t);
-        out_off = o;
-    }
-    set_cache(true);
-    (best_on, best_off, out_on, out_off)
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick" || a == "quick");
     let reps = if quick { 1 } else { 3 };
@@ -105,17 +70,11 @@ fn main() {
         if quick { " (quick)" } else { "" }
     );
 
-    // ---- single-run harnesses, cache on vs off ----
-    let (t1_on_ms, t1_off_ms, _, _) =
-        time_pair(reps, || run_preliminary(&PreliminaryConfig::paper()));
-    let (t2_on_ms, t2_off_ms, r2_on, r2_off) =
-        time_pair(reps, || run_main_experiment(&MainConfig::paper()));
-    assert_eq!(
-        r2_on.table.cells, r2_off.table.cells,
-        "cache on/off must not change Table 2"
-    );
-    println!("table1 (preliminary): cache on {t1_on_ms:.0} ms, off {t1_off_ms:.0} ms");
-    println!("table2 (main):        cache on {t2_on_ms:.0} ms, off {t2_off_ms:.0} ms");
+    // ---- single-run harnesses ----
+    let (t1_ms, _) = best_of(reps, || run_preliminary(&PreliminaryConfig::paper()));
+    let (t2_ms, r2) = best_of(reps, || run_main_experiment(&MainConfig::paper()));
+    println!("table1 (preliminary): {t1_ms:.0} ms");
+    println!("table2 (main):        {t2_ms:.0} ms");
 
     // ---- sweep throughput, 1 thread vs N ----
     let seeds: Vec<u64> = (0..sweep_seeds).collect();
@@ -172,7 +131,7 @@ fn main() {
     // ---- fault-path guard (chaos layer) ----
     // With `FaultInjector::none()` the chaos wiring must be free: zero
     // RNG draws, no retry schedules, Table 2 unchanged, and wall time
-    // within noise of the cache-on main run above. The chaos-profile
+    // within noise of the plain main run above. The chaos-profile
     // run shows what the machinery costs when it is actually on.
     let (nofault_ms, r_nofault) = best_of(reps, || run_main_experiment(&MainConfig::paper()));
     let chaos_cfg = MainConfig {
@@ -181,7 +140,7 @@ fn main() {
     };
     let (chaos_ms, r_chaos) = best_of(reps, || run_main_experiment(&chaos_cfg));
     assert_eq!(
-        r_nofault.table.cells, r2_on.table.cells,
+        r_nofault.table.cells, r2.table.cells,
         "the no-fault config must reproduce Table 2 exactly"
     );
     assert!(
@@ -189,12 +148,12 @@ fn main() {
         "chaos can lose detections, never invent them"
     );
     println!(
-        "fault path: no-fault {nofault_ms:.0} ms (vs {t2_on_ms:.0} ms plain), \
+        "fault path: no-fault {nofault_ms:.0} ms (vs {t2_ms:.0} ms plain), \
          chaos profile {chaos_ms:.0} ms ({:.2}x)",
         chaos_ms / nofault_ms
     );
 
-    // ---- BENCH_4: thread-scaling curve + sweep-level frozen caches ----
+    // ---- BENCH_4: thread-scaling curve ----
     // A large seed sweep at 1/2/4/8/16 worker threads, runs/sec per
     // point, with every point's results asserted byte-identical to the
     // single-thread reference. Real speedup needs real cores, so the
@@ -259,57 +218,6 @@ fn main() {
         );
     }
 
-    // Frozen-cache tier: repeated evaluations of one configuration —
-    // the shape of an ablation or calibration sweep — against cold
-    // per-run caches vs a frozen tier built from one warm-up run.
-    let frozen_reps: usize = if quick { 4 } else { 8 };
-    let warmup = run_main_experiment(&MainConfig::fast());
-    let frozen = warmup
-        .run_caches
-        .as_ref()
-        .expect("shared caches are on by default")
-        .freeze();
-    // Interleave cold and thawed runs (as in `time_pair`) so drift in
-    // background load hits both sides equally.
-    let (mut cold_ms, mut warm_ms) = (0.0, 0.0);
-    let (mut cold_last, mut warm_last) = (None, None);
-    for _ in 0..frozen_reps {
-        let start = Instant::now();
-        cold_last = Some(run_main_experiment(&MainConfig::fast()));
-        cold_ms += start.elapsed().as_secs_f64() * 1e3;
-        let cfg = MainConfig {
-            shared_frozen: Some(frozen.clone()),
-            ..MainConfig::fast()
-        };
-        let start = Instant::now();
-        warm_last = Some(run_main_experiment(&cfg));
-        warm_ms += start.elapsed().as_secs_f64() * 1e3;
-    }
-    let cold_last = cold_last.expect("ran");
-    let warm_last = warm_last.expect("ran");
-    assert_eq!(
-        cold_last.table.cells, warm_last.table.cells,
-        "the frozen tier must not change Table 2"
-    );
-    let frozen_speedup = cold_ms / warm_ms;
-    let warm_counters = warm_last
-        .run_caches
-        .as_ref()
-        .expect("shared caches on")
-        .counters();
-    let (frozen_renders, frozen_verdicts) = frozen.sizes();
-    assert!(
-        warm_counters.get("render_cache.frozen_hit") > 0,
-        "a same-config rerun must hit the frozen render tier"
-    );
-    println!(
-        "frozen tier ({frozen_reps} same-config runs): cold {cold_ms:.0} ms, \
-         thawed {warm_ms:.0} ms ({frozen_speedup:.2}x); tier {frozen_renders} renders + \
-         {frozen_verdicts} verdicts, rerun hits: render {} verdict {}",
-        warm_counters.get("render_cache.frozen_hit"),
-        warm_counters.get("verdict_store.frozen_hit"),
-    );
-
     write_record(
         "BENCH_4",
         &serde_json::json!({
@@ -332,21 +240,8 @@ fn main() {
                 "speedup": speedup_at_8,
                 "speedup_asserted": host_parallelism >= 4,
             },
-            "frozen_cache": {
-                "reps": frozen_reps,
-                "cold_ms": cold_ms,
-                "thawed_ms": warm_ms,
-                "speedup": frozen_speedup,
-                "tier_renders": frozen_renders,
-                "tier_verdicts": frozen_verdicts,
-                "rerun_frozen_render_hits": warm_counters.get("render_cache.frozen_hit"),
-                "rerun_frozen_verdict_hits": warm_counters.get("verdict_store.frozen_hit"),
-                "rerun_render_overlay_misses": warm_counters.get("render_cache.miss"),
-                "rerun_verdict_overlay_misses": warm_counters.get("verdict_store.miss"),
-            },
             "determinism": {
                 "identical_at_every_thread_count": true,
-                "frozen_tier_preserves_table2": true,
             },
         }),
     );
@@ -359,8 +254,8 @@ fn main() {
             "reps": reps,
             "fault_path": {
                 "main_no_fault_ms": nofault_ms,
-                "main_plain_ms": t2_on_ms,
-                "no_fault_overhead_ratio": nofault_ms / t2_on_ms,
+                "main_plain_ms": t2_ms,
+                "no_fault_overhead_ratio": nofault_ms / t2_ms,
                 "main_chaos_profile_ms": chaos_ms,
                 "chaos_overhead_ratio": chaos_ms / nofault_ms,
                 "no_fault_detections": r_nofault.table.total.hits,
@@ -381,11 +276,8 @@ fn main() {
             "reps": reps,
             "threads": threads,
             "single_run_ms": {
-                "table1_cache_on": t1_on_ms,
-                "table1_cache_off": t1_off_ms,
-                "table2_cache_on": t2_on_ms,
-                "table2_cache_off": t2_off_ms,
-                "table2_cache_speedup": t2_off_ms / t2_on_ms,
+                "table1": t1_ms,
+                "table2": t2_ms,
             },
             "sweep": {
                 "n_runs": sweep_seeds,
@@ -406,7 +298,6 @@ fn main() {
                 "diff_to_snapshot_ratio": diff_bytes as f64 / snapshot_bytes as f64,
             },
             "determinism": {
-                "table2_cache_on_off_identical": true,
                 "sweep_thread_count_invariant": true,
                 "diff_apply_equals_snapshot": true,
             },

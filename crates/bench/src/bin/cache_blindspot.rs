@@ -15,8 +15,8 @@
 //! ```
 
 use phishsim_browser::{Verdict, VerdictCache};
-use phishsim_core::runner::run_sweep;
 use phishsim_http::Url;
+use phishsim_simnet::runner::run_sweep;
 use phishsim_simnet::{SimDuration, SimTime};
 
 fn main() {

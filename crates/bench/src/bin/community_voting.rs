@@ -15,8 +15,8 @@
 //! ```
 
 use phishsim_antiphish::{SubmissionView, VoterProfile, VotingQueue};
-use phishsim_core::runner::run_sweep;
 use phishsim_http::Url;
+use phishsim_simnet::runner::run_sweep;
 use phishsim_simnet::{DetRng, SimTime};
 
 fn main() {

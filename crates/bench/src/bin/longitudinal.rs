@@ -9,8 +9,8 @@
 //! ```
 
 use phishsim_core::experiment::{run_longitudinal, LongitudinalConfig};
-use phishsim_core::runner::run_sweep;
 use phishsim_phishgen::EvasionTechnique;
+use phishsim_simnet::runner::run_sweep;
 
 fn print_series(label: &str, r: &phishsim_core::experiment::LongitudinalResult) {
     println!("{label}");

@@ -13,7 +13,7 @@
 
 use phishsim_bench::{write_pack, write_record};
 use phishsim_core::experiment::{record_run, run_sb_scale, RecordedConfig, SbScaleConfig};
-use phishsim_core::runner::sweep_threads;
+use phishsim_simnet::runner::sweep_threads;
 use phishsim_simnet::FaultInjector;
 use std::time::Instant;
 

@@ -5,7 +5,7 @@
 //! search stops at the end of the first batch that contains a match.
 
 use phishsim_bench::seedsearch::seed_matches_table2;
-use phishsim_core::runner::{run_sweep, sweep_threads};
+use phishsim_simnet::runner::{run_sweep, sweep_threads};
 
 fn main() {
     let from: u64 = std::env::args()

@@ -4,9 +4,9 @@
 //! The main experiment has exactly one stochastic cell family —
 //! NetCraft's unreliable post-form-submission classification. This
 //! harness runs the experiment across many seeds **in parallel** through
-//! the shared sweep runner (`phishsim_core::runner`; every run is fully
-//! independent and deterministic) and reports the distribution of the
-//! headline numbers.
+//! the shared sweep runner (`phishsim_simnet::runner`; every run is
+//! fully independent and deterministic) and reports the distribution of
+//! the headline numbers.
 //!
 //! ```text
 //! cargo run --release -p phishsim-bench --bin seed_sensitivity [n_seeds]
@@ -14,8 +14,8 @@
 
 use phishsim_antiphish::EngineId;
 use phishsim_core::experiment::{run_main_experiment, MainConfig};
-use phishsim_core::runner::{run_sweep, sweep_threads};
 use phishsim_phishgen::{Brand, EvasionTechnique};
+use phishsim_simnet::runner::{run_sweep, sweep_threads};
 use std::collections::BTreeMap;
 
 fn main() {

@@ -29,6 +29,6 @@ pub mod sbcache;
 pub mod transport;
 
 pub use driver::{BrowseStep, Browser, BrowserConfig, DialogPolicy, PageView};
-pub use rendercache::{FrozenRenderCache, RenderCache, Rendered};
+pub use rendercache::{RenderCache, Rendered};
 pub use sbcache::{SbLocalDb, Verdict, VerdictCache};
 pub use transport::{FetchError, Transport};

@@ -18,7 +18,6 @@ use phishsim_captcha::{find_widget, SiteKey};
 use phishsim_html::{Document, PageSummary, ScriptEffect};
 use phishsim_simnet::metrics::CounterSet;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Stable FNV-1a hash of a page body — the cache key.
@@ -65,51 +64,14 @@ struct Inner {
     misses: u64,
 }
 
-/// An immutable, shareable snapshot of a [`RenderCache`].
-///
-/// A sweep builds one of these from a warm-up run and hands it to
-/// every subsequent run's cache as a read-only base tier: lookups that
-/// hit the frozen map never take the overlay lock, so concurrent sweep
-/// workers share the parse work of common bodies without contending.
-/// The map is behind an `Arc`, making clones free.
-#[derive(Debug, Clone, Default)]
-pub struct FrozenRenderCache {
-    entries: Arc<HashMap<u64, Arc<Rendered>>>,
-}
-
-impl FrozenRenderCache {
-    /// Look up a render by body hash.
-    pub fn get(&self, body_hash: u64) -> Option<&Arc<Rendered>> {
-        self.entries.get(&body_hash)
-    }
-
-    /// Number of frozen renders.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the snapshot holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// A shared, content-keyed cache of [`Rendered`] pages.
 ///
 /// One cache serves one experiment run: engines attach it to every
 /// browser they spawn, so the dozens of crawler visits to an unchanged
 /// page body share a single parse. Thread-safe so a parallel sweep's
 /// per-run caches can also back concurrently-driven browsers.
-///
-/// A cache optionally sits on top of a [`FrozenRenderCache`] base
-/// tier ([`RenderCache::with_frozen`]): frozen hits are lock-free, and
-/// only bodies the frozen tier has never seen enter the mutable
-/// overlay. Because a render is a pure function of the body, tiering
-/// can only change *where* a render is found, never *what* it is.
 #[derive(Debug, Default)]
 pub struct RenderCache {
-    frozen: Option<FrozenRenderCache>,
-    frozen_hits: AtomicU64,
     inner: Mutex<Inner>,
 }
 
@@ -119,22 +81,10 @@ impl RenderCache {
         Self::default()
     }
 
-    /// Create an empty overlay on top of a frozen base tier.
-    pub fn with_frozen(frozen: FrozenRenderCache) -> Self {
-        RenderCache {
-            frozen: Some(frozen),
-            ..Self::default()
-        }
-    }
-
     /// Render `body`, reusing the memoized product when this exact
-    /// content was rendered before (in the frozen tier or the overlay).
+    /// content was rendered before.
     pub fn render(&self, body: &str) -> Arc<Rendered> {
         let hash = content_hash(body);
-        if let Some(r) = self.frozen.as_ref().and_then(|f| f.get(hash)) {
-            self.frozen_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(r);
-        }
         let mut inner = self.inner.lock();
         if let Some(r) = inner.entries.get(&hash) {
             let r = Arc::clone(r);
@@ -147,43 +97,10 @@ impl RenderCache {
         r
     }
 
-    /// Snapshot the cache's full contents (frozen tier plus overlay)
-    /// as a new frozen tier. The renders themselves are shared via
-    /// `Arc`, so freezing copies a map of pointers, not parse products.
-    pub fn freeze(&self) -> FrozenRenderCache {
-        let mut entries: HashMap<u64, Arc<Rendered>> = match &self.frozen {
-            Some(f) => (*f.entries).clone(),
-            None => HashMap::new(),
-        };
-        let inner = self.inner.lock();
-        for (k, v) in &inner.entries {
-            entries.entry(*k).or_insert_with(|| Arc::clone(v));
-        }
-        FrozenRenderCache {
-            entries: Arc::new(entries),
-        }
-    }
-
-    /// (hits, misses) so far, overlay tier only.
+    /// (hits, misses) so far.
     pub fn stats(&self) -> (u64, u64) {
         let inner = self.inner.lock();
         (inner.hits, inner.misses)
-    }
-
-    /// Lock-free hits served by the frozen tier.
-    pub fn frozen_hits(&self) -> u64 {
-        self.frozen_hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct bodies in the overlay (excludes the frozen
-    /// tier; [`FrozenRenderCache::len`] counts that).
-    pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// True if nothing has been cached in the overlay yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Hit/miss counters in `simnet::metrics` form, for experiment
@@ -193,21 +110,7 @@ impl RenderCache {
         let mut c = CounterSet::new();
         c.add("render_cache.hit", hits);
         c.add("render_cache.miss", misses);
-        c.add("render_cache.frozen_hit", self.frozen_hits());
         c
-    }
-
-    /// Deterministic JSON state snapshot (the runpack `seek` hook):
-    /// tier sizes and hit counters, no pointers, no host time.
-    pub fn snapshot(&self) -> serde_json::Value {
-        let (hits, misses) = self.stats();
-        serde_json::json!({
-            "overlay_entries": self.len(),
-            "frozen_entries": self.frozen.as_ref().map(|f| f.len()).unwrap_or(0),
-            "hits": hits,
-            "misses": misses,
-            "frozen_hits": self.frozen_hits(),
-        })
     }
 }
 
@@ -247,52 +150,21 @@ mod tests {
     }
 
     #[test]
-    fn frozen_tier_serves_hits_without_touching_overlay() {
-        let warm = RenderCache::new();
-        let body = "<html><title>t</title><form><input type=password name=p></form></html>";
-        warm.render(body);
-        let frozen = warm.freeze();
-        assert_eq!(frozen.len(), 1);
-
-        let cache = RenderCache::with_frozen(frozen);
-        let a = cache.render(body);
-        let b = cache.render(body);
-        assert!(Arc::ptr_eq(&a.summary, &b.summary));
-        assert_eq!(cache.frozen_hits(), 2, "both lookups hit the frozen tier");
-        assert_eq!(cache.stats(), (0, 0), "overlay never consulted");
-        assert!(cache.is_empty(), "overlay stays empty on frozen hits");
-        assert_eq!(cache.counters().get("render_cache.frozen_hit"), 2);
-    }
-
-    #[test]
-    fn unknown_bodies_fall_through_to_the_overlay() {
-        let warm = RenderCache::new();
-        warm.render("<html><title>seen</title></html>");
-        let cache = RenderCache::with_frozen(warm.freeze());
-        let novel = "<html><title>novel</title><form><input type=password name=p></form></html>";
-        let first = cache.render(novel);
-        let second = cache.render(novel);
-        assert!(Arc::ptr_eq(&first.summary, &second.summary));
-        assert_eq!(cache.frozen_hits(), 0);
-        assert_eq!(cache.stats(), (1, 1), "overlay miss then overlay hit");
-        // Re-freezing folds the overlay into the next tier.
-        let refrozen = cache.freeze();
-        assert_eq!(refrozen.len(), 2);
-        assert!(refrozen.get(content_hash(novel)).is_some());
-    }
-
-    #[test]
     fn frozen_render_is_identical_to_direct_compute() {
+        // A render the cache has stored is handed out on every later
+        // lookup without recomputation; that stored product must equal
+        // an uncached render.
         let body = "<html><title>x</title><a href=\"/a\">a</a></html>";
-        let warm = RenderCache::new();
-        warm.render(body);
-        let cache = RenderCache::with_frozen(warm.freeze());
-        let frozen = cache.render(body);
+        let cache = RenderCache::new();
+        let stored = cache.render(body);
+        let served = cache.render(body);
+        assert!(Arc::ptr_eq(&stored.summary, &served.summary));
+        assert_eq!(cache.stats(), (1, 1), "second lookup is a hit");
         let direct = Rendered::compute(body);
-        assert_eq!(frozen.body_hash, direct.body_hash);
-        assert_eq!(frozen.summary.title, direct.summary.title);
-        assert_eq!(frozen.summary.links, direct.summary.links);
-        assert_eq!(frozen.widget, direct.widget);
+        assert_eq!(served.body_hash, direct.body_hash);
+        assert_eq!(served.summary.title, direct.summary.title);
+        assert_eq!(served.summary.links, direct.summary.links);
+        assert_eq!(served.widget, direct.widget);
     }
 
     #[test]

@@ -14,8 +14,7 @@ use crate::monitor::{monitor_listings, Observation};
 use crate::tables::Table2;
 use crate::world::{World, DEFAULT_SEED};
 use phishsim_antiphish::{
-    render_cache_enabled, shared_cache_enabled, CapabilityUpgrade, Engine, EngineId, EngineProfile,
-    FeedNetwork, FrozenCaches, ReportOutcome, RunCaches,
+    CapabilityUpgrade, Engine, EngineId, EngineProfile, FeedNetwork, ReportOutcome, RunCaches,
 };
 use phishsim_http::Url;
 use phishsim_phishgen::{Brand, EvasionTechnique};
@@ -44,13 +43,6 @@ pub struct MainConfig {
     /// and every engine. Skipped on (de)serialization like `faults`.
     #[serde(skip)]
     pub obs: ObsSink,
-    /// Sweep-level frozen cache tier: a snapshot of a previous run's
-    /// render/verdict caches, shared read-only across the sweep's
-    /// workers ([`MainResult::run_caches`] + [`RunCaches::freeze`]
-    /// produce one). `None` (the default) starts the run's caches
-    /// cold. Skipped on (de)serialization like `faults`.
-    #[serde(skip)]
-    pub shared_frozen: Option<FrozenCaches>,
     /// Capture per-arm engine state snapshots plus end-of-run engine
     /// and world snapshots into [`MainResult::state_snapshots`]
     /// (runpack time-travel audit). Capture is read-only — it draws no
@@ -70,7 +62,6 @@ impl MainConfig {
             upgrade: None,
             faults: FaultInjector::none(),
             obs: ObsSink::Null,
-            shared_frozen: None,
             snapshots: false,
         }
     }
@@ -117,9 +108,8 @@ pub struct MainResult {
     pub feeds: FeedNetwork,
     /// The world (trace log etc.).
     pub world: World,
-    /// The run's shared caches when shared caching was active (freeze
-    /// them to seed the next run of a sweep); `None` when disabled via
-    /// `PHISHSIM_SHARED_CACHE=0` or `PHISHSIM_RENDER_CACHE=0`.
+    /// The render cache and verdict store every engine of the run
+    /// shared, with their hit/miss counters. Always `Some`.
     pub run_caches: Option<RunCaches>,
     /// Timestamped layer-state snapshots, captured only when
     /// [`MainConfig::snapshots`] is set; sorted by `(at, layer)`.
@@ -175,13 +165,8 @@ pub fn run_main_experiment(config: &MainConfig) -> MainResult {
     let deploy_at = SimTime::ZERO + SimDuration::from_days(14);
 
     // One cache pair for the whole run: all six engines share renders
-    // and verdicts (both pure in their keys), optionally seeded by a
-    // sweep-level frozen tier from `config.shared_frozen`.
-    let run_caches =
-        (render_cache_enabled() && shared_cache_enabled()).then(|| match &config.shared_frozen {
-            Some(frozen) => RunCaches::thawed(frozen),
-            None => RunCaches::fresh(),
-        });
+    // and verdicts (both pure in their keys).
+    let run_caches = RunCaches::fresh();
 
     // Deploy one armed site per URL and report it.
     let mut engines: std::collections::BTreeMap<EngineId, Engine> = EngineId::main_experiment()
@@ -191,12 +176,10 @@ pub fn run_main_experiment(config: &MainConfig) -> MainResult {
                 Some(up) => EngineProfile::of(id).upgraded(up),
                 None => EngineProfile::of(id),
             };
-            let mut engine = Engine::with_profile(profile, &world.rng)
+            let engine = Engine::with_profile(profile, &world.rng)
                 .with_captcha_provider(world.captcha.clone())
-                .with_obs(config.obs.clone());
-            if let Some(caches) = &run_caches {
-                engine = engine.with_run_caches(caches);
-            }
+                .with_obs(config.obs.clone())
+                .with_run_caches(&run_caches);
             (id, engine)
         })
         .collect();
@@ -327,7 +310,7 @@ pub fn run_main_experiment(config: &MainConfig) -> MainResult {
         traffic_within_2h,
         feeds,
         world,
-        run_caches,
+        run_caches: Some(run_caches),
         state_snapshots,
     }
 }
@@ -467,36 +450,6 @@ mod tests {
         }
         assert_eq!(r.table.total.as_cell(), "8/105");
         assert_eq!(r.table.netcraft_session_delays_mins.len(), 2);
-    }
-
-    #[test]
-    fn frozen_tier_reproduces_table2_and_serves_the_rerun() {
-        // Freeze a run's caches, seed an identical run with them: same
-        // Table 2, and the rerun's parses come from the frozen tier
-        // instead of recomputing.
-        let base = result();
-        let frozen = base
-            .run_caches
-            .as_ref()
-            .expect("shared caching is on by default")
-            .freeze();
-        let (renders, verdicts) = frozen.sizes();
-        assert!(renders > 0 && verdicts > 0);
-        let seeded = run_main_experiment(&MainConfig {
-            shared_frozen: Some(frozen),
-            ..MainConfig::fast()
-        });
-        assert_eq!(base.table.cells, seeded.table.cells);
-        assert_eq!(base.table.total.as_cell(), seeded.table.total.as_cell());
-        let rc = seeded.run_caches.expect("caches present");
-        assert!(
-            rc.render.frozen_hits() > 0,
-            "identical rerun must be served by the frozen tier"
-        );
-        assert!(
-            rc.render.is_empty(),
-            "an identical rerun must add no new renders to the overlay"
-        );
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! pack's Config section: deserializing it back tells the replayer
 //! which experiment to run and with which parameters, so
 //! [`rerun_pack`] needs nothing but the pack bytes. Fields that are
-//! `#[serde(skip)]` on the underlying configs (sinks, fault profiles,
-//! frozen caches) are either reconstructed by the replayer (sinks) or
-//! carried in the pack's dedicated Faults section.
+//! `#[serde(skip)]` on the underlying configs (sinks, fault profiles)
+//! are either reconstructed by the replayer (sinks) or carried in the
+//! pack's dedicated Faults section. No environment variable changes a
+//! run, so the pack's env section is empty.
 //!
 //! Every run of a sweep gets its own tee sink but shares the
 //! recorder's rolling digest, so recording is safe at any

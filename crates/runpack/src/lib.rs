@@ -3,10 +3,10 @@
 //! Deterministic record/replay artifacts for the phishsim workspace.
 //!
 //! Every experiment in this workspace is a pure function of its
-//! configuration: seed, volume, horizon, fault schedule, and a handful
-//! of environment gates. This crate makes that claim *checkable* by
-//! serializing a run's complete identity into a compact, versioned
-//! `.runpack` artifact and giving it three verbs:
+//! configuration: seed, volume, horizon and fault schedule. This crate
+//! makes that claim *checkable* by serializing a run's complete
+//! identity into a compact, versioned `.runpack` artifact and giving it
+//! three verbs:
 //!
 //! * **verify** — re-execute from the recorded configuration and
 //!   compare section digests byte-for-byte; on event drift, report the
@@ -38,9 +38,10 @@
 //! require_serialize::<phishsim_simnet::runner::SweepProfile>();
 //! ```
 //!
-//! Likewise `PHISHSIM_SWEEP_THREADS` is excluded from the recorded
-//! environment ([`record::IDENTITY_GATES`]): thread count must never
-//! change a pack, and `runpack verify` at 1 and 8 threads proves it.
+//! Likewise no environment variable enters a pack: the env section is
+//! recorded empty. The two that remain, `PHISHSIM_SWEEP_THREADS` and
+//! `PHISHSIM_SWEEP_MAX_THREADS`, set thread counts, which must never
+//! change a pack; `runpack verify` at 1 and 8 threads proves it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +55,7 @@ pub mod wire;
 
 pub use bisect::{bisect, BisectReport};
 pub use pack::{RunEvents, RunPack, SectionDigest, SectionId, StateSnapshot, MAGIC, VERSION};
-pub use record::{batch_digest, capture_env, record_digest, PackRecorder, RollingDigest};
+pub use record::{batch_digest, record_digest, PackRecorder, RollingDigest};
 pub use seek::{seek, OpenSpanView, SeekReport};
 pub use verify::{
     metrics_divergence, verify_against, Divergence, MetricsDivergence, SectionCheck, VerifyReport,

@@ -125,10 +125,10 @@ pub struct RunPack {
     /// Self-describing configuration JSON (a
     /// `RecordedConfig` in the core crate's vocabulary).
     pub config_json: String,
-    /// Identity-relevant environment gates, sorted by key. Values are
-    /// the literal env values or `"<unset>"`. Scaling knobs
-    /// (`PHISHSIM_SWEEP_THREADS`, …) are deliberately excluded: thread
-    /// count must never change a pack.
+    /// Identity-relevant environment variables, sorted by key. The
+    /// recorder writes this section empty: no variable changes what a
+    /// run computes, and thread counts (`PHISHSIM_SWEEP_THREADS`, …)
+    /// must never change a pack.
     pub env: Vec<(String, String)>,
     /// The fault schedule as JSON (`"null"` when the run had none).
     pub faults_json: String,
@@ -530,8 +530,8 @@ mod tests {
             experiment: "table2".into(),
             config_json: r#"{"seed":42}"#.into(),
             env: vec![
-                ("PHISHSIM_ARENA".into(), "<unset>".into()),
-                ("PHISHSIM_RENDER_CACHE".into(), "1".into()),
+                ("EXAMPLE_GATE".into(), "<unset>".into()),
+                ("EXAMPLE_MODE".into(), "1".into()),
             ],
             faults_json: "null".into(),
             runs: vec![RunEvents {

@@ -16,35 +16,6 @@ use phishsim_simnet::{MetricsRegistry, ObsKind, ObsRecord, ObsSink, ObsTap, SimT
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Environment gates that are part of a run's identity: flags that
-/// change *what* is simulated or how values are computed.
-///
-/// Scaling knobs (`PHISHSIM_SWEEP_THREADS`, `PHISHSIM_MAX_THREADS`)
-/// are deliberately absent — the whole point of the determinism
-/// contract is that thread count never changes results, so it must
-/// never enter a pack, or re-verification at a different parallelism
-/// would fail spuriously.
-pub const IDENTITY_GATES: &[&str] = &[
-    "PHISHSIM_ARENA",
-    "PHISHSIM_RENDER_CACHE",
-    "PHISHSIM_SHARED_CACHE",
-];
-
-/// Snapshot the identity-relevant environment, sorted by key.
-/// Unset variables record as `"<unset>"` so presence/absence is itself
-/// part of the digest.
-pub fn capture_env() -> Vec<(String, String)> {
-    let mut env: Vec<(String, String)> = IDENTITY_GATES
-        .iter()
-        .map(|key| {
-            let val = std::env::var(key).unwrap_or_else(|_| "<unset>".to_string());
-            (key.to_string(), val)
-        })
-        .collect();
-    env.sort();
-    env
-}
-
 /// Content digest of one observability record: FNV-1a over a canonical
 /// byte rendering of its fields. Ignores nothing — `at`, `seq`, ids,
 /// names and actors all contribute.
@@ -125,7 +96,6 @@ pub struct PackRecorder {
     experiment: String,
     config_json: String,
     faults_json: String,
-    env: Vec<(String, String)>,
     runs: Vec<RunEvents>,
     metrics: MetricsRegistry,
     snapshots: Vec<StateSnapshot>,
@@ -134,13 +104,12 @@ pub struct PackRecorder {
 }
 
 impl PackRecorder {
-    /// Start recording. Captures the identity environment immediately.
+    /// Start recording.
     pub fn new(experiment: &str, config_json: &str) -> Self {
         PackRecorder {
             experiment: experiment.to_string(),
             config_json: config_json.to_string(),
             faults_json: "null".to_string(),
-            env: capture_env(),
             runs: Vec::new(),
             metrics: MetricsRegistry::new(),
             snapshots: Vec::new(),
@@ -213,7 +182,9 @@ impl PackRecorder {
         RunPack {
             experiment: self.experiment,
             config_json: self.config_json,
-            env: self.env,
+            // No environment variable changes what a run computes, so
+            // the env section is recorded empty.
+            env: Vec::new(),
             faults_json: self.faults_json,
             runs: self.runs,
             metrics_json: serde_json::to_string(&self.metrics)
@@ -243,7 +214,6 @@ mod tests {
 
     #[test]
     fn recorder_round_trip_with_two_runs() {
-        std::env::remove_var("PHISHSIM_ARENA");
         let mut rec = PackRecorder::new("seed_sweep", r#"{"seeds":[1,2]}"#);
         let sinks: Vec<ObsSink> = (0..2).map(|_| rec.run_sink()).collect();
         for (i, sink) in sinks.iter().enumerate() {
@@ -261,10 +231,7 @@ mod tests {
         assert_eq!(pack.total_events(), 4);
         assert_eq!(pack.runs[0].label, "seed:1");
         assert!(pack.metrics_json.contains("engine.reports"));
-        assert_eq!(
-            pack.env.iter().find(|(k, _)| k == "PHISHSIM_ARENA"),
-            Some(&("PHISHSIM_ARENA".to_string(), "<unset>".to_string()))
-        );
+        assert!(pack.env.is_empty(), "no variable enters a pack");
         let decoded = RunPack::decode(&pack.encode()).unwrap();
         assert_eq!(decoded, pack.canonicalized());
     }

@@ -18,8 +18,6 @@
 //! * [`Scheduler`] — a calendar/bucket event queue with stable FIFO
 //!   ordering for simultaneous events and a heap fallback for far-future
 //!   events.
-//! * [`arena`] — per-run bump arenas and per-worker reuse pools that keep
-//!   the sweep hot path out of the global allocator.
 //! * [`Ipv4Sim`] / [`IpPool`] — simulated IPv4 addressing; anti-phishing
 //!   bots crawl from pools of distinct addresses (Table 1 reports unique
 //!   source IPs per engine).
@@ -53,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod error;
 pub mod ip;
 pub mod link;
@@ -67,7 +64,6 @@ pub mod sched;
 pub mod time;
 pub mod trace;
 
-pub use arena::{arena_enabled, Bump, Pool, Span};
 pub use error::SimError;
 pub use ip::{IpPool, Ipv4Sim};
 pub use link::{

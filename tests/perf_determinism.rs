@@ -1,24 +1,16 @@
-//! The performance machinery must never change results.
+//! The parallel sweep runner must never change results.
 //!
-//! Four invariants guard the sweep runner, the allocator, and the
-//! render/verdict caches:
+//! A `run_sweep` over N configs returns byte-identical output whether
+//! it ran on 1 thread or many: work stealing reorders execution, never
+//! results. The tests below hold seed-sweep JSON, trace-log queries
+//! and merged metrics registries to that bar, and the `sb_scale`
+//! population run too: its report (blind-window percentiles, protocol
+//! counters, protected-fraction curves) must not depend on the
+//! worker-thread count.
 //!
-//! 1. **Thread-count invariance** — a `run_sweep` over N configs
-//!    returns byte-identical JSON whether it ran on 1 thread or many
-//!    (work stealing reorders execution, never results).
-//! 2. **Cache transparency** — a fixed seed regenerates byte-identical
-//!    tables with `PHISHSIM_RENDER_CACHE` off and on (memoization
-//!    reuses work, never changes it).
-//! 3. **Arena transparency** — `PHISHSIM_ARENA` off and on produce
-//!    byte-identical sweeps at any thread count (bump allocation
-//!    changes where events live, never what they compute).
-//! 4. **Shared-cache transparency** — `PHISHSIM_SHARED_CACHE` off and
-//!    on, and the sweep-level frozen tier, produce byte-identical
-//!    sweeps at any thread count.
-//!
-//! The `sb_scale` population run is held to the same bar: its report
-//! (blind-window percentiles, protocol counters, protected-fraction
-//! curves) must not depend on the worker-thread count.
+//! The render and verdict caches are held to their own bar, that a
+//! cached product equals its uncached computation, by the unit tests
+//! beside them (`rendercache`, `sharedcache`, `engine`).
 
 use phishsim::experiment::{
     run_main_experiment, run_preliminary, run_sb_scale_with_threads, MainConfig, PreliminaryConfig,
@@ -26,7 +18,7 @@ use phishsim::experiment::{
 };
 use phishsim::feedserve::PopulationConfig;
 use phishsim::simnet::{MetricsRegistry, ObsSink, SimDuration};
-use phishsim_core::runner::run_sweep_with_threads;
+use phishsim_simnet::runner::run_sweep_with_threads;
 
 /// One sweep cell: a seeded fast main-experiment run, serialized the
 /// way the sweep binaries write their JSON records.
@@ -132,101 +124,4 @@ fn merged_metrics_registry_is_byte_identical_across_thread_counts() {
     let serial = merged_json(1);
     assert_eq!(serial, merged_json(4), "1 vs 4 threads");
     assert_eq!(serial, merged_json(16), "1 vs 16 (oversubscribed) threads");
-}
-
-#[test]
-fn sweep_is_byte_identical_with_arena_off_and_on_at_1_and_8_threads() {
-    // The cross product {arena off, arena on} × {1 thread, 8 threads}
-    // must collapse to a single byte string. As with the cache test,
-    // equality under every setting is exactly what is asserted, so the
-    // env flips cannot disturb concurrently running tests.
-    let seeds: Vec<u64> = (40..44).collect();
-    std::env::set_var("PHISHSIM_ARENA", "0");
-    let off_1 = run_sweep_with_threads(&seeds, 1, sweep_cell);
-    let off_8 = run_sweep_with_threads(&seeds, 8, sweep_cell);
-    std::env::set_var("PHISHSIM_ARENA", "1");
-    let on_1 = run_sweep_with_threads(&seeds, 1, sweep_cell);
-    let on_8 = run_sweep_with_threads(&seeds, 8, sweep_cell);
-    assert_eq!(off_1, off_8, "arena off: 1 vs 8 threads");
-    assert_eq!(on_1, on_8, "arena on: 1 vs 8 threads");
-    assert_eq!(off_1, on_1, "arena off vs on");
-}
-
-#[test]
-fn sweep_is_byte_identical_with_shared_cache_off_and_on_at_1_and_8_threads() {
-    let seeds: Vec<u64> = (50..54).collect();
-    std::env::set_var("PHISHSIM_SHARED_CACHE", "0");
-    let off_1 = run_sweep_with_threads(&seeds, 1, sweep_cell);
-    let off_8 = run_sweep_with_threads(&seeds, 8, sweep_cell);
-    std::env::set_var("PHISHSIM_SHARED_CACHE", "1");
-    let on_1 = run_sweep_with_threads(&seeds, 1, sweep_cell);
-    let on_8 = run_sweep_with_threads(&seeds, 8, sweep_cell);
-    assert_eq!(off_1, off_8, "shared cache off: 1 vs 8 threads");
-    assert_eq!(on_1, on_8, "shared cache on: 1 vs 8 threads");
-    assert_eq!(off_1, on_1, "shared cache off vs on");
-}
-
-#[test]
-fn frozen_tier_sweep_is_byte_identical_to_cold_sweep_across_threads() {
-    // A sweep whose every run thaws a frozen warm-up tier must produce
-    // the same bytes as a cold sweep of the same configs, serially and
-    // in parallel — the tier is shared lock-free across workers.
-    let warmup = run_main_experiment(&MainConfig::fast());
-    let Some(caches) = &warmup.run_caches else {
-        // Another test currently holds the render cache off; the
-        // invariant is vacuous without run-level caches.
-        return;
-    };
-    let frozen = caches.freeze();
-    let seeds: Vec<u64> = (60..64).collect();
-    let thawed_cell = |seed: &u64| {
-        let r = run_main_experiment(&MainConfig {
-            seed: *seed,
-            shared_frozen: Some(frozen.clone()),
-            ..MainConfig::fast()
-        });
-        serde_json::to_string(&serde_json::json!({
-            "seed": seed,
-            "table": r.table,
-            "traffic_within_2h": r.traffic_within_2h,
-        }))
-        .expect("serializable")
-    };
-    let cold = run_sweep_with_threads(&seeds, 1, sweep_cell);
-    let thawed_1 = run_sweep_with_threads(&seeds, 1, thawed_cell);
-    let thawed_8 = run_sweep_with_threads(&seeds, 8, thawed_cell);
-    assert_eq!(cold, thawed_1, "frozen tier must not change any run");
-    assert_eq!(thawed_1, thawed_8, "thawed sweep: 1 vs 8 threads");
-}
-
-#[test]
-fn tables_are_byte_identical_with_cache_off_and_on() {
-    // Both phases run inside this one test so the env flips are
-    // sequenced; concurrent tests are unaffected either way, because
-    // equality under both settings is exactly what is being asserted.
-    std::env::set_var("PHISHSIM_RENDER_CACHE", "0");
-    let main_off = run_main_experiment(&MainConfig::fast());
-    let prelim_off = run_preliminary(&PreliminaryConfig::fast());
-    std::env::set_var("PHISHSIM_RENDER_CACHE", "1");
-    let main_on = run_main_experiment(&MainConfig::fast());
-    let prelim_on = run_preliminary(&PreliminaryConfig::fast());
-
-    assert_eq!(main_off.table.render(), main_on.table.render());
-    assert_eq!(
-        serde_json::to_string(&main_off.table).unwrap(),
-        serde_json::to_string(&main_on.table).unwrap()
-    );
-    for (x, y) in main_off.arms.iter().zip(&main_on.arms) {
-        assert_eq!(x.url, y.url);
-        assert_eq!(
-            serde_json::to_string(&x.outcome).unwrap(),
-            serde_json::to_string(&y.outcome).unwrap(),
-            "outcome for {} must not depend on the cache",
-            x.url
-        );
-    }
-    assert_eq!(
-        serde_json::to_string(&prelim_off.table.rows).unwrap(),
-        serde_json::to_string(&prelim_on.table.rows).unwrap()
-    );
 }
