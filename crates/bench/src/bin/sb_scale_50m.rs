@@ -19,7 +19,8 @@
 //!   bytes, and sync-bytes-per-client. On a full run the binary
 //!   asserts its own floors: the 50M point completes, cohort
 //!   percentiles stay within one sample step of the exact baseline,
-//!   peak RSS stays under 4 GiB, and sync traffic stays under
+//!   peak RSS stays under 512 MiB (measured up to 64 worker threads;
+//!   see `PEAK_RSS_CEILING`), and sync traffic stays under
 //!   256 KB/client (one initial full-reset snapshot — ~134 KB against
 //!   the 50 k-entry feed — plus the horizon's incremental diffs).
 
@@ -41,7 +42,13 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-const PEAK_RSS_CEILING: u64 = 4 << 30;
+/// Peak RSS of the full sweep on a 2-vCPU host: 118 MB on one thread,
+/// ~187 MB on 2 to 16, 274 MB on 32 and 435 MB on 64. The cohort table
+/// build holds one row map per thread (never an entry per client), and
+/// past 16 threads each adds about 5 MB, so this ceiling holds up to
+/// 64 threads. On a larger host, cap the count with
+/// `PHISHSIM_SWEEP_MAX_THREADS=64` or pin `PHISHSIM_SWEEP_THREADS`.
+const PEAK_RSS_CEILING: u64 = 512 << 20;
 const SYNC_BYTES_PER_CLIENT_CEILING: f64 = 256_000.0;
 
 fn main() {

@@ -163,9 +163,14 @@ impl CohortTable {
     /// Build the cohort table for `cfg` by enumerating every client's
     /// schedule (the same `fork_indexed("feedserve-client", i)` streams
     /// the exact walker uses — quantization is the *only* difference)
-    /// and collapsing onto the quantized grid. Deterministic at any
-    /// `threads`: per-batch maps merge by commutative addition and the
-    /// final order is the canonical key sort.
+    /// and collapsing onto the quantized grid.
+    ///
+    /// The clients split into one contiguous range per worker thread,
+    /// and each range fills one map of row counts, so memory is
+    /// O(threads × rows) however many clients there are. The merge
+    /// sums counts per key and sorts into canonical key order; a sum
+    /// does not depend on how its terms were grouped, so the table is
+    /// identical at any `threads`.
     pub fn from_population(
         cfg: &PopulationConfig,
         min_wait: SimDuration,
@@ -176,15 +181,13 @@ impl CohortTable {
         let fq = spec.phase_quantum.as_millis().max(1);
         let root = DetRng::new(cfg.seed);
 
-        let batches: Vec<(usize, usize)> = {
-            let batch = cfg.batch.max(1);
-            (0..cfg.clients)
-                .step_by(batch)
-                .map(|start| (start, (start + batch).min(cfg.clients)))
-                .collect()
-        };
+        let per_range = cfg.clients.div_ceil(threads.max(1)).max(1);
+        let ranges: Vec<(usize, usize)> = (0..cfg.clients)
+            .step_by(per_range)
+            .map(|start| (start, (start + per_range).min(cfg.clients)))
+            .collect();
         type Key = (u32, u64, u64, bool);
-        let maps: Vec<HashMap<Key, u64>> = run_sweep_with_threads(&batches, threads, |&(s, e)| {
+        let maps: Vec<HashMap<Key, u64>> = run_sweep_with_threads(&ranges, threads, |&(s, e)| {
             let mut m: HashMap<Key, u64> = HashMap::new();
             for idx in s..e {
                 let sched = client_schedule(cfg, min_wait, &root, idx);
@@ -197,7 +200,8 @@ impl CohortTable {
             }
             m
         });
-        let mut merged: HashMap<Key, u64> = HashMap::new();
+        let mut maps = maps.into_iter();
+        let mut merged = maps.next().unwrap_or_default();
         for m in maps {
             for (k, v) in m {
                 *merged.entry(k).or_insert(0) += v;
@@ -206,16 +210,13 @@ impl CohortTable {
         let mut rows: Vec<(Key, u64)> = merged.into_iter().collect();
         rows.sort_unstable_by_key(|&(k, _)| k);
 
-        let mut table = CohortTable::default();
-        for ((mirror, period_ms, phase_ms, aggressive), count) in rows {
-            table.push(CohortRecord {
-                count,
-                period_ms,
-                phase_ms,
-                mirror,
-                aggressive,
-            });
-        }
+        let table = CohortTable {
+            counts: rows.iter().map(|&(_, count)| count).collect(),
+            period_ms: rows.iter().map(|&((_, period, _, _), _)| period).collect(),
+            phase_ms: rows.iter().map(|&((_, _, phase, _), _)| phase).collect(),
+            mirrors: rows.iter().map(|&((mirror, _, _, _), _)| mirror).collect(),
+            aggressive: rows.iter().map(|&((_, _, _, aggr), _)| aggr).collect(),
+        };
         debug_assert_eq!(table.clients(), cfg.clients as u64);
         table
     }

@@ -64,7 +64,8 @@ pub struct PopulationConfig {
     pub period_jitter: SimDuration,
     /// Simulation horizon.
     pub horizon: SimDuration,
-    /// Clients per work-stealing batch.
+    /// Clients per work-stealing batch of the exact walk (the cohort
+    /// table build splits clients into one range per thread instead).
     pub batch: usize,
     /// Fraction of clients that re-fetch inside the minimum wait and
     /// get backed off (exercises the server's throttle path).

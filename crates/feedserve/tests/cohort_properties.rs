@@ -10,11 +10,12 @@
 //! round-trip equality, and rejection of every truncation.
 
 use phishsim_feedserve::{
-    run_population_with_threads, CohortSpec, CohortTable, FeedServer, ListingEvent, MirrorConfig,
-    PopulationConfig, PopulationReport, ServerConfig,
+    run_population_with_threads, CohortRecord, CohortSpec, CohortTable, FeedServer, ListingEvent,
+    MirrorConfig, PopulationConfig, PopulationReport, ServerConfig,
 };
-use phishsim_simnet::{SimDuration, SimTime};
+use phishsim_simnet::{DetRng, SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn h(i: u64) -> u64 {
     (i << 33) | 0x5151
@@ -56,7 +57,110 @@ fn walk_fingerprint(r: &PopulationReport) -> String {
     serde_json::to_string(&(&r.events, r.fetches, &r.counters)).unwrap()
 }
 
+/// The naive table build: one sequential pass over every client into a
+/// `BTreeMap`, whose iteration order is the canonical key order. Each
+/// schedule is derived the long way — the client's stream forked by
+/// its spelled `feedserve-client#i` label, then the period, phase,
+/// aggressive and mirror draws in the population walker's order.
+fn reference_rows(cfg: &PopulationConfig, min_wait: SimDuration) -> Vec<CohortRecord> {
+    let spec = cfg.cohorts.clone().unwrap_or_default();
+    let pq = spec.period_quantum.as_millis().max(1);
+    let fq = spec.phase_quantum.as_millis().max(1);
+    let root = DetRng::new(cfg.seed);
+    let mut rows: BTreeMap<(u32, u64, u64, bool), u64> = BTreeMap::new();
+    for i in 0..cfg.clients {
+        let mut rng = root.fork(&format!("feedserve-client#{i}"));
+        let jitter = cfg.period_jitter.as_millis();
+        let offset = if jitter > 0 {
+            rng.range(0..=2 * jitter)
+        } else {
+            0
+        };
+        let period = (cfg.base_period.as_millis() + offset)
+            .saturating_sub(jitter)
+            .max(min_wait.as_millis().max(60_000));
+        let phase = rng.range(0..period);
+        let aggressive = rng.chance(cfg.aggressive_fraction);
+        let mirror = match &cfg.mirrors {
+            Some(m) => rng.range(0..u64::from(m.mirrors.max(1))) as u32,
+            None => 0,
+        };
+        let period_q = (period / pq * pq).max(1);
+        let phase_q = (phase / fq * fq).min(period_q - 1);
+        *rows
+            .entry((mirror, period_q, phase_q, aggressive))
+            .or_insert(0) += 1;
+    }
+    rows.into_iter()
+        .map(
+            |((mirror, period_ms, phase_ms, aggressive), count)| CohortRecord {
+                count,
+                period_ms,
+                phase_ms,
+                mirror,
+                aggressive,
+            },
+        )
+        .collect()
+}
+
+fn table_rows(table: &CohortTable) -> Vec<CohortRecord> {
+    (0..table.len()).map(|i| table.record(i)).collect()
+}
+
+/// A grid whose phase quantum (25 min) is coarser than the shortest
+/// period (20 min) and whose period quantum (10 min) snaps periods far
+/// below their phases, so the `phase < period` clamp fires and merges
+/// keys.
+fn coarse_spec() -> CohortSpec {
+    CohortSpec {
+        period_quantum: SimDuration::from_mins(10),
+        phase_quantum: SimDuration::from_mins(25),
+    }
+}
+
+#[test]
+fn coarse_grid_clamps_phases_and_matches_the_naive_build() {
+    let mut cfg = pop_cfg(2_000, 17, 0.05, 3);
+    cfg.cohorts = Some(coarse_spec());
+    let min_wait = ServerConfig::default().min_wait;
+    let want = reference_rows(&cfg, min_wait);
+    let clamped = want
+        .iter()
+        .filter(|r| r.phase_ms == r.period_ms - 1)
+        .count();
+    assert!(clamped > 0, "the coarse grid must exercise the phase clamp");
+    for threads in [1, 2, 3] {
+        let table = CohortTable::from_population(&cfg, min_wait, threads);
+        assert_eq!(table_rows(&table), want, "{threads} threads");
+    }
+}
+
 proptest! {
+    /// The table build equals the naive sequential build over every
+    /// client — same rows, same counts, same canonical order — on any
+    /// grid (exact, default, coarser than the shortest period) and any
+    /// split of clients over threads, including more threads than
+    /// clients.
+    #[test]
+    fn table_build_matches_the_naive_reference(
+        clients in 0usize..150,
+        seed in 0u64..1_000,
+        aggressive in 0.0f64..0.3,
+        mirrors in 0u32..4,
+        grid in 0usize..3,
+    ) {
+        let mut cfg = pop_cfg(clients, seed, aggressive, mirrors);
+        cfg.cohorts = Some([CohortSpec::exact(), CohortSpec::default(), coarse_spec()][grid].clone());
+        let min_wait = ServerConfig::default().min_wait;
+        let want = reference_rows(&cfg, min_wait);
+        for threads in [1, 2, 3, clients + 2] {
+            let table = CohortTable::from_population(&cfg, min_wait, threads);
+            prop_assert_eq!(table_rows(&table), want.clone(), "{} threads", threads);
+            prop_assert_eq!(table.clients(), clients as u64);
+        }
+    }
+
     /// Unit-quanta cohorts are a pure regrouping: the cohort walk's
     /// events, fetches, and every protocol counter match the exact
     /// per-client walk bit for bit — the split/merge round-trip to the

@@ -9,6 +9,20 @@ use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+/// Apply `f` to `label`'s entry, inserting a default first. The key is
+/// allocated only on a label's first insert: `entry(label.to_string())`
+/// would allocate on every call, and counters are bumped per sync round.
+pub(crate) fn update_entry<V: Default>(
+    map: &mut BTreeMap<String, V>,
+    label: &str,
+    f: impl FnOnce(&mut V),
+) {
+    match map.get_mut(label) {
+        Some(v) => f(v),
+        None => f(map.entry(label.to_owned()).or_default()),
+    }
+}
+
 /// A labelled set of monotonically increasing counters.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CounterSet {
@@ -28,7 +42,7 @@ impl CounterSet {
 
     /// Increment `label` by `n`.
     pub fn add(&mut self, label: &str, n: u64) {
-        *self.counts.entry(label.to_string()).or_insert(0) += n;
+        update_entry(&mut self.counts, label, |c| *c += n);
     }
 
     /// Current value of `label` (zero if never incremented).

@@ -25,6 +25,7 @@
 //! the `FaultInjector::none()` guarantee — attaching or removing a
 //! sink cannot perturb a calibrated experiment.
 
+use crate::metrics::update_entry;
 use crate::time::SimTime;
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
@@ -234,7 +235,7 @@ impl MetricsRegistry {
 
     /// Increment a counter by `n`.
     pub fn add(&mut self, label: &str, n: u64) {
-        *self.counters.entry(label.to_string()).or_insert(0) += n;
+        update_entry(&mut self.counters, label, |c| *c += n);
     }
 
     /// Current value of a counter (zero if never incremented).
@@ -244,10 +245,7 @@ impl MetricsRegistry {
 
     /// Record one observation into a histogram.
     pub fn observe(&mut self, label: &str, v: u64) {
-        self.histograms
-            .entry(label.to_string())
-            .or_default()
-            .record(v);
+        update_entry(&mut self.histograms, label, |h| h.record(v));
     }
 
     /// A histogram by label, if it was ever observed.

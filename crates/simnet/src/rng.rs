@@ -50,6 +50,11 @@ pub mod fork_audit {
         dups
     }
 
+    /// Whether an audit is running on this thread.
+    pub(super) fn recording() -> bool {
+        REGISTRY.with(|r| r.borrow().is_some())
+    }
+
     pub(super) fn note(seed: u64, label: &str) {
         REGISTRY.with(|r| {
             if let Some(map) = r.borrow_mut().as_mut() {
@@ -77,16 +82,23 @@ pub struct DetRng {
     inner: ChaCha12Rng,
 }
 
-/// FNV-1a, used to mix fork labels into seeds. Stable across platforms
-/// and Rust versions (unlike `DefaultHasher`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `bytes`, continuing from `hash`; used to mix fork labels
+/// into seeds. Stable across platforms and Rust versions (unlike
+/// `DefaultHasher`), and a byte stream, so a label hashed in pieces
+/// equals the label hashed whole.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
 }
+
+/// Decimal digits of `usize::MAX`, the longest index `fork_indexed`
+/// spells.
+const INDEX_DIGITS: usize = usize::MAX.ilog10() as usize + 1;
 
 impl DetRng {
     /// Create a root generator from a seed.
@@ -109,18 +121,43 @@ impl DetRng {
     /// interleaved draws do not affect child streams.
     pub fn fork(&self, label: &str) -> DetRng {
         fork_audit::note(self.seed, label);
+        self.child(fnv1a(FNV_OFFSET, label.as_bytes()))
+    }
+
+    /// Fork a child stream identified by a label and an index (e.g. one
+    /// stream per registered domain): the stream of
+    /// `fork(&format!("{label}#{index}"))`. The label is hashed in
+    /// pieces, so no string is built unless [`fork_audit`] is recording.
+    pub fn fork_indexed(&self, label: &str, index: usize) -> DetRng {
+        if fork_audit::recording() {
+            fork_audit::note(self.seed, &format!("{label}#{index}"));
+        }
+        // Spelled by hand: formatting with `write!` made a cohort-table
+        // build, one fork per client, about 20 % slower (10M clients on
+        // one thread of a 2-vCPU Xeon).
+        let mut digits = [0u8; INDEX_DIGITS];
+        let mut start = digits.len();
+        let mut rest = index;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        let hash = fnv1a(fnv1a(FNV_OFFSET, label.as_bytes()), b"#");
+        self.child(fnv1a(hash, &digits[start..]))
+    }
+
+    /// The child whose label hashes to `label_hash`.
+    fn child(&self, label_hash: u64) -> DetRng {
         let child_seed = self
             .seed
             .rotate_left(17)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ fnv1a(label.as_bytes());
+            ^ label_hash;
         DetRng::new(child_seed)
-    }
-
-    /// Fork a child stream identified by a label and an index (e.g. one
-    /// stream per registered domain).
-    pub fn fork_indexed(&self, label: &str, index: usize) -> DetRng {
-        self.fork(&format!("{label}#{index}"))
     }
 
     /// Sample uniformly from a range.
@@ -258,6 +295,64 @@ mod tests {
         s.sort_unstable();
         s.dedup();
         assert_eq!(s.len(), 16, "indexed forks should be distinct streams");
+    }
+
+    /// `fork_indexed(label, i)` against its definition: the seed and
+    /// first draws of `fork(&format!("{label}#{i}"))`.
+    fn assert_fork_indexed_is_spelled_fork(root: &DetRng, label: &str, i: usize) {
+        let mut indexed = root.fork_indexed(label, i);
+        let mut spelled = root.fork(&format!("{label}#{i}"));
+        assert_eq!(indexed.seed(), spelled.seed(), "seed of {label}#{i}");
+        for _ in 0..4 {
+            assert_eq!(
+                indexed.next_u64(),
+                spelled.next_u64(),
+                "draw of {label}#{i}"
+            );
+        }
+    }
+
+    #[test]
+    fn fork_indexed_equals_fork_of_the_spelled_label() {
+        let root = DetRng::new(17);
+        let edges = [0, 9, 10, 99, 100, u32::MAX as usize, usize::MAX];
+        for label in ["feedserve-client", "", "site#3"] {
+            for i in edges {
+                assert_fork_indexed_is_spelled_fork(&root, label, i);
+            }
+        }
+    }
+
+    #[test]
+    fn fork_indexed_is_audited_under_its_spelled_label() {
+        fork_audit::begin();
+        let root = DetRng::new(5);
+        let mut audited = root.fork_indexed("site", 12);
+        let _ = root.fork_indexed("site", 12);
+        let _ = root.fork_indexed("site", 13);
+        let dups = fork_audit::finish();
+        assert_eq!(dups, vec![(5, "site#12".to_string(), 2)]);
+        // Recording changes what is noted, never the stream.
+        assert_eq!(audited.next_u64(), root.fork_indexed("site", 12).next_u64());
+    }
+
+    mod fork_indexed_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn fork_indexed_is_fork_of_label_hash_index(
+                seed in any::<u64>(),
+                label in ".{0,16}",
+                wide in any::<usize>(),
+                narrow in 0usize..1_000,
+            ) {
+                let root = DetRng::new(seed);
+                assert_fork_indexed_is_spelled_fork(&root, &label, wide);
+                assert_fork_indexed_is_spelled_fork(&root, &label, narrow);
+            }
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ done
 # `cargo test` run every crate's unit tests, proptests and doctests plus
 # the root package's; raise the floor when adding tests, never lower it
 # to get a pass.
-TEST_FLOOR=781
+TEST_FLOOR=788
 
 # Run a sweep binary at two thread counts and require byte-identical
 # records: smoke NAME RECORD THREADS_A THREADS_B BIN [ARGS...]
@@ -106,7 +106,10 @@ determinism() {
   echo "==> sb_scale_50m determinism smoke (fast cohort sweep, 1 vs 8 threads)"
   # Cohort compression, the mirror tier, and the exact-baseline guard
   # must all be thread-invariant; the bin also rewrites the pack, so
-  # pin both artifacts like the fleet smokes do.
+  # pin both artifacts like the fleet smokes do. Every run rewrites
+  # BENCH_5.json with host timings; the full-scale check below puts
+  # this copy back.
+  cp results/BENCH_5.json results/.BENCH_5.saved.json
   PHISHSIM_SWEEP_THREADS=1 cargo run --release -p phishsim-bench --bin sb_scale_50m -- fast
   cp results/sb_scale_50m.json results/.sb_scale_50m.t1.json
   cp results/sb_scale_50m.runpack results/.sb_scale_50m.t1.runpack
@@ -121,6 +124,21 @@ determinism() {
   fi
   rm -f results/.sb_scale_50m.t1.json results/.sb_scale_50m.t1.runpack
   echo "sb_scale_50m record and pack byte-identical across thread counts"
+
+  echo "==> sb_scale_50m full scale (1M/10M/50M, 2 threads) vs the committed record"
+  # The committed record comes from a full one-thread run; a full run
+  # on two threads (~18 s, ~187 MB peak on a 2-vCPU host) must
+  # reproduce it byte for byte, and it also overwrites the fast
+  # smoke's reduced record above. The thread count is pinned because
+  # the table build holds one row map per thread, so peak RSS (guarded
+  # by the bin) grows on hosts with many cores.
+  PHISHSIM_SWEEP_THREADS=2 cargo run --release -p phishsim-bench --bin sb_scale_50m
+  mv results/.BENCH_5.saved.json results/BENCH_5.json
+  if ! git show HEAD:results/sb_scale_50m.json | diff -q - results/sb_scale_50m.json; then
+    echo "full-scale sb_scale_50m record differs from the committed one" >&2
+    exit 1
+  fi
+  echo "full-scale sb_scale_50m record equals the committed one"
 
   echo "==> obs_report determinism smoke (full volume, 1 vs 8 threads)"
   smoke obs_report results/obs_report.json 1 8 obs_report
