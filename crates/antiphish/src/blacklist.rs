@@ -30,7 +30,6 @@ pub struct Blacklist {
     /// Bumped on every effective mutation; lets derived structures
     /// (the Safe-Browsing prefix store, feedserve snapshots) memoize
     /// per version instead of rebuilding per call.
-    #[serde(default)]
     version: u64,
 }
 

@@ -1,44 +1,14 @@
 //! Criterion benches for the observability layer: the `ObsSink::Null`
 //! fast path must be near-free, and a memory sink must stay cheap
-//! enough to leave on during experiment debugging.
-//!
-//! Before timing anything, the observer-effect guard asserts that a
-//! Null-sink run and a Memory-sink run serialize to byte-identical
-//! tables. The obs layer never touches a `DetRng`, so attaching a
-//! sink must not shift a single sampled value — if it did, the
-//! serialized tables would diverge and this bench would panic.
+//! enough to leave on during experiment debugging. The observer-effect
+//! guard (a memory sink changes neither table) is a tier-1 test in
+//! `tests/determinism.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use phishsim_core::experiment::{
-    run_main_experiment, run_preliminary, MainConfig, PreliminaryConfig,
-};
+use phishsim_core::experiment::{run_preliminary, PreliminaryConfig};
 use phishsim_simnet::{ObsSink, SimTime};
-
-/// A Null-sink run and a Memory-sink run must produce byte-identical
-/// tables: observation is read-only with respect to the simulation.
-fn assert_no_observer_effect() {
-    let null_run = run_preliminary(&PreliminaryConfig::fast());
-    let mut observed = PreliminaryConfig::fast();
-    observed.obs = ObsSink::memory();
-    let memory_run = run_preliminary(&observed);
-    assert_eq!(
-        serde_json::to_string(&null_run.table).unwrap(),
-        serde_json::to_string(&memory_run.table).unwrap(),
-        "attaching a memory sink changed Table 1 — observer effect"
-    );
-
-    let null_main = run_main_experiment(&MainConfig::fast());
-    let mut observed_main = MainConfig::fast();
-    observed_main.obs = ObsSink::memory();
-    let memory_main = run_main_experiment(&observed_main);
-    assert_eq!(
-        serde_json::to_string(&null_main.table).unwrap(),
-        serde_json::to_string(&memory_main.table).unwrap(),
-        "attaching a memory sink changed Table 2 — observer effect"
-    );
-}
 
 fn emit_workload(sink: &ObsSink) {
     let mut at = SimTime::ZERO;
@@ -54,8 +24,6 @@ fn emit_workload(sink: &ObsSink) {
 }
 
 fn bench_obs(c: &mut Criterion) {
-    assert_no_observer_effect();
-
     let mut g = c.benchmark_group("obs");
     g.bench_function("null_sink_emit_64_spans", |b| {
         let sink = ObsSink::Null;

@@ -76,7 +76,9 @@ fn main() {
         "Max registrations in any 24 h window: {} (spread over {} days to avoid bulk patterns)",
         r.max_daily_registrations, config.registration_days
     );
-    println!("Scan wall-clock: {elapsed:.2?}");
+    // Host time goes to stderr only: it differs run to run, so it stays
+    // out of the record.
+    eprintln!("Scan wall-clock: {elapsed:.2?}");
     println!(
         "\nSample selections: {:?}",
         &r.drop_catch[..5.min(r.drop_catch.len())]
@@ -91,7 +93,6 @@ fn main() {
         "random_new_gtld": new_gtld,
         "random_legacy": r.random.len() - new_gtld,
         "max_daily_registrations": r.max_daily_registrations,
-        "scan_seconds": elapsed.as_secs_f64(),
     });
     phishsim_bench::write_record("funnel", &record);
 }

@@ -18,48 +18,56 @@
 //! | `cache_blindspot` | §2.4 — SB verdict-cache TTL sweep |
 //! | `fleet_sweep` | ROADMAP — crawl-fleet scheduler throughput sweep |
 //! | `ablation_feeds` | DESIGN.md §4.5 — cross-feed edge ablation |
-//! | `ablation_classifier` | DESIGN.md §4.2 — classifier-mode ablation |
+//! | `ablation_capabilities` | DESIGN.md §4.2 — crawler-capability ablation |
 //!
 //! Every binary prints the paper-layout table and writes a JSON record
 //! under `results/`.
 
 pub mod seedsearch;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// Write a JSON record for EXPERIMENTS.md under `results/<name>.json`.
-pub fn write_record(name: &str, value: &serde_json::Value) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(s) = serde_json::to_string_pretty(value) {
-        let _ = std::fs::write(&path, s);
-        println!("\n[record written to results/{name}.json]");
+/// `results/` at the repository root, where every record and pack is
+/// committed.
+fn results_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+/// Write `bytes` to `dir/file`, creating `dir` first. Any failure
+/// panics with the path and the error: a write that failed quietly
+/// would leave the committed file as it was, which is exactly what a
+/// byte-identity check looks for.
+fn write_artifact(dir: &Path, file: &str, bytes: &[u8]) {
+    let path = dir.join(file);
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, bytes)) {
+        panic!("cannot write {}: {e}", path.display());
     }
 }
 
-/// Write a replay artifact under `results/<name>.runpack`.
+/// Write a JSON record for EXPERIMENTS.md under `results/<name>.json`.
+/// Panics when the record cannot be serialized or written.
+pub fn write_record(name: &str, value: &serde_json::Value) {
+    let text = serde_json::to_string_pretty(value)
+        .unwrap_or_else(|e| panic!("cannot serialize results/{name}.json: {e}"));
+    write_artifact(&results_dir(), &format!("{name}.json"), text.as_bytes());
+    println!("\n[record written to results/{name}.json]");
+}
+
+/// Write a replay artifact under `results/<name>.runpack`. Panics when
+/// the pack cannot be written.
 ///
 /// Packs are committed at their *fast* configs (reduced traffic) so
 /// `runpack verify` in CI replays in seconds; they are byte-stable
 /// regardless of how the emitting binary was invoked.
 pub fn write_pack(name: &str, pack: &phishsim_runpack::RunPack) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.runpack"));
     let bytes = pack.encode();
-    if std::fs::write(&path, &bytes).is_ok() {
-        println!(
-            "[pack written to results/{name}.runpack ({} B, {} events, root {:#018x})]",
-            bytes.len(),
-            pack.total_events(),
-            pack.root_digest()
-        );
-    }
+    write_artifact(&results_dir(), &format!("{name}.runpack"), &bytes);
+    println!(
+        "[pack written to results/{name}.runpack ({} B, {} events, root {:#018x})]",
+        bytes.len(),
+        pack.total_events(),
+        pack.root_digest()
+    );
 }
 
 /// Text rendering of a page state — the simulation's "screenshot" for
@@ -101,4 +109,18 @@ pub fn render_page_state(label: &str, html: &str) -> String {
     ));
     out.push_str("└──\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "Cargo.toml/record.json: ")]
+    fn writing_under_a_file_fails_loudly() {
+        // The crate's manifest is a file, so no directory can be made
+        // there and nothing is written.
+        let file = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
+        write_artifact(&file, "record.json", b"{}");
+    }
 }

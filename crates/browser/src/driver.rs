@@ -14,7 +14,7 @@ use crate::transport::{FetchError, Transport};
 use parking_lot::Mutex;
 use phishsim_captcha::{CaptchaProvider, SolverProfile};
 use phishsim_html::{FormInfo, PageSummary, ScriptEffect};
-use phishsim_http::{CookieJar, Request, Response, Status, Url};
+use phishsim_http::{Body, CookieJar, Request, Response, Status, Url};
 use phishsim_simnet::{DetRng, Ipv4Sim, ObsSink, RetryPolicy, SimDuration, SimTime, SpanId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -128,8 +128,8 @@ pub struct PageView {
     pub url: Url,
     /// Final HTTP status.
     pub status: Status,
-    /// Final HTML.
-    pub html: String,
+    /// Final HTML, shared with the response that served it.
+    pub html: Body,
     /// Content hash of the final HTML (the render-cache key), reusable
     /// as a memoization key for downstream per-body work such as
     /// classification.
@@ -230,9 +230,9 @@ impl Browser {
     }
 
     /// Render a body through the shared cache, or directly without one.
-    fn render(&self, body: &str) -> Arc<Rendered> {
+    fn render(&self, body: &Body) -> Arc<Rendered> {
         match &self.render_cache {
-            Some(cache) => cache.render(body),
+            Some(cache) => cache.render_body(body),
             None => Arc::new(Rendered::compute(body)),
         }
     }

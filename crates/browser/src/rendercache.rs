@@ -12,23 +12,19 @@
 //! CAPTCHA gate serving a new body after the solve, changes the body
 //! hash and therefore **misses** the cache — gated flows are never
 //! served stale renders (see the unit tests).
+//!
+//! A served [`Body`] carries its hash, computed once per distinct body,
+//! so [`RenderCache::render_body`] looks a page up without reading it.
 
 use parking_lot::Mutex;
 use phishsim_captcha::{find_widget, SiteKey};
 use phishsim_html::{Document, PageSummary, ScriptEffect};
+use phishsim_http::Body;
 use phishsim_simnet::metrics::CounterSet;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Stable FNV-1a hash of a page body — the cache key.
-pub fn content_hash(body: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in body.as_bytes() {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub use phishsim_http::content_hash;
 
 /// Everything the browser derives from one page body: the parsed
 /// summary, the script effects, and the CAPTCHA widget scan.
@@ -47,9 +43,13 @@ pub struct Rendered {
 impl Rendered {
     /// Parse and summarize `body` (the uncached path).
     pub fn compute(body: &str) -> Rendered {
+        Self::compute_hashed(body, content_hash(body))
+    }
+
+    fn compute_hashed(body: &str, body_hash: u64) -> Rendered {
         let doc = Document::parse(body);
         Rendered {
-            body_hash: content_hash(body),
+            body_hash,
             summary: Arc::new(PageSummary::extract(&doc)),
             effects: ScriptEffect::extract(&doc),
             widget: find_widget(body),
@@ -84,7 +84,16 @@ impl RenderCache {
     /// Render `body`, reusing the memoized product when this exact
     /// content was rendered before.
     pub fn render(&self, body: &str) -> Arc<Rendered> {
-        let hash = content_hash(body);
+        self.render_hashed(body, content_hash(body))
+    }
+
+    /// [`render`](Self::render) keyed on the body's memoized hash, so a
+    /// body served many times is hashed once.
+    pub fn render_body(&self, body: &Body) -> Arc<Rendered> {
+        self.render_hashed(body, body.content_hash())
+    }
+
+    fn render_hashed(&self, body: &str, hash: u64) -> Arc<Rendered> {
         let mut inner = self.inner.lock();
         if let Some(r) = inner.entries.get(&hash) {
             let r = Arc::clone(r);
@@ -92,7 +101,7 @@ impl RenderCache {
             return r;
         }
         inner.misses += 1;
-        let r = Arc::new(Rendered::compute(body));
+        let r = Arc::new(Rendered::compute_hashed(body, hash));
         inner.entries.insert(hash, Arc::clone(&r));
         r
     }
@@ -165,6 +174,32 @@ mod tests {
         assert_eq!(served.summary.title, direct.summary.title);
         assert_eq!(served.summary.links, direct.summary.links);
         assert_eq!(served.widget, direct.widget);
+    }
+
+    #[test]
+    fn body_and_text_renders_share_one_entry() {
+        let text = "<html><title>x</title><form><input type=password name=p></form></html>";
+        let body = Body::from(text);
+        let cache = RenderCache::new();
+        let by_body = cache.render_body(&body);
+        let by_text = cache.render(text);
+        assert!(Arc::ptr_eq(&by_body, &by_text));
+        assert_eq!(cache.stats(), (1, 1), "one miss, then one hit");
+        assert_eq!(by_body.body_hash, body.content_hash());
+    }
+
+    #[test]
+    fn body_hash_matches_golden_fnv1a() {
+        // FNV-1a of this page as the cache has always keyed it: where
+        // the hash lives and how often it runs must not change the key.
+        let page = "<html><head><title>Log In</title></head><body>\
+                    <form action=\"/login\"><input type=\"email\" name=\"email\">\
+                    <input type=\"password\" name=\"pass\"></form></body></html>";
+        const GOLDEN: u64 = 0x3334_9306_a8e6_d1bc;
+        assert_eq!(content_hash(page), GOLDEN);
+        assert_eq!(Rendered::compute(page).body_hash, GOLDEN);
+        let cache = RenderCache::new();
+        assert_eq!(cache.render_body(&Body::from(page)).body_hash, GOLDEN);
     }
 
     #[test]

@@ -48,7 +48,6 @@ pub struct MainConfig {
     /// (runpack time-travel audit). Capture is read-only — it draws no
     /// RNG — so toggling this never changes a run's outcome, but it
     /// *is* part of a recorded run's identity, so it serializes.
-    #[serde(default)]
     pub snapshots: bool,
 }
 

@@ -156,12 +156,13 @@ impl Transport for World {
                 }
                 if truncated {
                     // Deliver a corrupted payload: cut the body at the
-                    // nearest char boundary below the midpoint.
+                    // nearest char boundary below the midpoint. Bodies
+                    // are shared, so the cut prefix is a new one.
                     let mut cut = resp.body.len() / 2;
                     while cut > 0 && !resp.body.is_char_boundary(cut) {
                         cut -= 1;
                     }
-                    resp.body.truncate(cut);
+                    resp.body = resp.body[..cut].into();
                 }
                 Ok((resp, out + back + extra_delay))
             }
@@ -341,7 +342,7 @@ mod tests {
             )
             .unwrap();
         assert!(resp.body.len() < "served".len());
-        assert!("served".starts_with(&resp.body));
+        assert!("served".starts_with(&*resp.body));
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub struct MirrorConfig {
     /// Scheduled per-mirror downtime windows (the chaos layer's
     /// [`TierOutagePlan`]). A down mirror answers no client fetches
     /// and skips its own refreshes.
-    #[serde(default)]
     pub outages: TierOutagePlan,
 }
 

@@ -79,18 +79,14 @@ pub struct PopulationConfig {
     /// Defaults to 0.0, which consumes no RNG draws at all. Exact mode
     /// only — cohort mode rejects a non-zero loss because per-client
     /// coin flips cannot be collapsed.
-    #[serde(default)]
     pub feed_loss: f64,
     /// Collapse clients into quantized schedule cohorts
-    /// (`None`: exact per-client walk). Configs predating the knob
-    /// deserialize as exact.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// (`None`: exact per-client walk).
     pub cohorts: Option<CohortSpec>,
     /// Route client fetches through a regional mirror tier
     /// (`None`: clients talk to the origin directly, consuming no
     /// extra RNG draws — the pre-tier streams are preserved bit for
     /// bit).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub mirrors: Option<MirrorConfig>,
 }
 
@@ -170,13 +166,11 @@ pub struct PopulationReport {
     /// shipped, backoffs, full-hash lookups, mirror staleness).
     pub counters: CounterSet,
     /// Cohort rows the population collapsed into (`None`: exact mode).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub cohorts: Option<u64>,
     /// Deterministic walker-state footprint in bytes: the cohort
     /// table's struct-of-arrays size, or the degenerate one-row-per-
     /// client equivalent in exact mode. The BENCH_5 memory guard's
     /// machine-independent component.
-    #[serde(default)]
     pub state_bytes: u64,
     /// Per-event blind-window metrics, in input order.
     pub events: Vec<EventReport>,

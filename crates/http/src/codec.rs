@@ -187,7 +187,7 @@ pub fn decode_response(buf: &mut BytesMut) -> Result<Response, CodecError> {
     }
     let body = std::str::from_utf8(&buf[body_start..body_start + len])
         .map_err(|_| CodecError::Malformed("non-UTF-8 body".into()))?
-        .to_string();
+        .into();
     let mut headers_out = Headers::new();
     for (n, v) in headers.iter() {
         if n.eq_ignore_ascii_case("content-length") {

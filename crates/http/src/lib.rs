@@ -11,6 +11,8 @@
 //!   in Table 3 differ in whether they exfiltrate URL parameters).
 //! * [`Headers`] — case-insensitive header map.
 //! * [`Request`] / [`Response`] — messages with builder APIs.
+//! * [`Body`] — a response body shared by reference, with its
+//!   [`content_hash`] computed once.
 //! * [`codec`] — a byte-level HTTP/1.1 wire codec (`bytes`-based framing
 //!   in the style of the tokio tutorial's frame layer); the simulation
 //!   mostly passes structured messages, but the codec keeps the model
@@ -27,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod body;
 pub mod codec;
 pub mod cookies;
 pub mod headers;
@@ -37,6 +40,7 @@ pub mod tls;
 pub mod url;
 pub mod useragent;
 
+pub use body::{content_hash, Body};
 pub use codec::{decode_request, decode_response, encode_request, encode_response, CodecError};
 pub use cookies::{Cookie, CookieJar};
 pub use headers::Headers;

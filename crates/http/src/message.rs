@@ -1,10 +1,12 @@
 //! HTTP requests and responses.
 
+use crate::body::Body;
 use crate::headers::Headers;
 use crate::url::Url;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::LazyLock;
 
 /// Request methods used in the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -184,13 +186,25 @@ pub struct Response {
     pub status: Status,
     /// Headers.
     pub headers: Headers,
-    /// Body (HTML in most of the simulation).
-    pub body: String,
+    /// Body (HTML in most of the simulation), shared with every other
+    /// response serving the same page.
+    pub body: Body,
 }
 
+/// The one body every 404 shares.
+static NOT_FOUND_BODY: LazyLock<Body> = LazyLock::new(|| {
+    Body::from(
+        "<html><head><title>404 Not Found</title></head><body><center><h1>404 Not Found</h1></center><hr><center>nginx</center></body></html>",
+    )
+});
+
+/// The one (empty) body every redirect shares.
+static EMPTY_BODY: LazyLock<Body> = LazyLock::new(|| Body::from(""));
+
 impl Response {
-    /// A 200 response with an HTML body.
-    pub fn html(body: impl Into<String>) -> Self {
+    /// A 200 response with an HTML body. Passing a [`Body`] serves it
+    /// without copying.
+    pub fn html(body: impl Into<Body>) -> Self {
         let mut headers = Headers::new();
         headers.set("Content-Type", "text/html; charset=utf-8");
         Response {
@@ -207,7 +221,7 @@ impl Response {
         Response {
             status: Status::NotFound,
             headers,
-            body: "<html><head><title>404 Not Found</title></head><body><center><h1>404 Not Found</h1></center><hr><center>nginx</center></body></html>".to_string(),
+            body: NOT_FOUND_BODY.clone(),
         }
     }
 
@@ -218,7 +232,7 @@ impl Response {
         Response {
             status: Status::Found,
             headers,
-            body: String::new(),
+            body: EMPTY_BODY.clone(),
         }
     }
 

@@ -3,8 +3,8 @@
 
 use bytes::BytesMut;
 use phishsim_http::{
-    decode_request, decode_response, encode_request, encode_response, CodecError, Headers, Method,
-    Request, Response, Status, Url,
+    content_hash, decode_request, decode_response, encode_request, encode_response, CodecError,
+    Headers, Method, Request, Response, Status, Url,
 };
 use proptest::prelude::*;
 
@@ -69,10 +69,11 @@ proptest! {
         status_idx in 0usize..5,
     ) {
         let status = [Status::Ok, Status::Found, Status::Forbidden, Status::NotFound, Status::ServerError][status_idx];
-        let resp = Response { status, headers, body };
+        let resp = Response { status, headers, body: body.into() };
         let wire = encode_response(&resp);
         let mut buf = BytesMut::from(&wire[..]);
         let parsed = decode_response(&mut buf).unwrap();
+        prop_assert_eq!(parsed.body.content_hash(), content_hash(&resp.body));
         prop_assert_eq!(parsed, resp);
     }
 

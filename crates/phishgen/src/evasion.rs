@@ -26,7 +26,7 @@ use crate::brands::Brand;
 use parking_lot::Mutex;
 use phishsim_captcha::{widget_markup, CaptchaProvider, ResponseToken, SecretKey, SiteKey};
 use phishsim_html::ScriptEffect;
-use phishsim_http::{Handler, Request, RequestCtx, Response, UserAgent};
+use phishsim_http::{Body, Handler, Request, RequestCtx, Response, UserAgent};
 use phishsim_simnet::{DetRng, Ipv4Sim, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -92,34 +92,101 @@ pub struct ServeRecord {
     pub actor: String,
     /// Whether the phishing payload was served.
     pub payload: bool,
-    /// What the gate decided ("payload", "benign", "cover", ...).
-    pub note: String,
+    /// What the gate decided ("alert-confirmed", "session-cover", ...).
+    pub note: &'static str,
+}
+
+/// One stored serve: a [`ServeRecord`] whose actor is an index into
+/// the log's actor table.
+#[derive(Debug, Clone, Copy)]
+struct Serve {
+    at: SimTime,
+    src: Ipv4Sim,
+    actor: u32,
+    payload: bool,
+    note: &'static str,
+}
+
+/// A site's serve log: fixed-size entries over a table of the actors
+/// it has seen. Bots probe a kit hundreds of thousands of times per
+/// paper run, but a site only ever sees a handful of actors.
+#[derive(Debug, Default)]
+struct ServeLog {
+    serves: Vec<Serve>,
+    actors: Vec<Box<str>>,
+}
+
+impl ServeLog {
+    /// The index of `actor`, if the site has seen it.
+    fn lookup(&self, actor: &str) -> Option<u32> {
+        self.actors
+            .iter()
+            .position(|a| **a == *actor)
+            .map(|i| i as u32)
+    }
+
+    fn push(&mut self, ctx: &RequestCtx, payload: bool, note: &'static str) {
+        let actor = match self.lookup(ctx.actor) {
+            Some(i) => i,
+            None => {
+                self.actors.push(ctx.actor.into());
+                (self.actors.len() - 1) as u32
+            }
+        };
+        self.serves.push(Serve {
+            at: ctx.now,
+            src: ctx.src,
+            actor,
+            payload,
+            note,
+        });
+    }
+
+    fn to_record(&self, s: &Serve) -> ServeRecord {
+        ServeRecord {
+            at: s.at,
+            src: s.src,
+            actor: self.actors[s.actor as usize].to_string(),
+            payload: s.payload,
+            note: s.note,
+        }
+    }
+
+    /// Payload serves to `actor`; an actor the site never saw matches
+    /// nothing.
+    fn payloads_to(&self, actor: &str) -> impl Iterator<Item = &Serve> {
+        let actor = self.lookup(actor);
+        self.serves
+            .iter()
+            .filter(move |s| s.payload && Some(s.actor) == actor)
+    }
 }
 
 /// A shared view into a site's serve log, usable after the handler has
 /// been boxed into the hosting farm.
 #[derive(Debug, Clone, Default)]
 pub struct SiteProbe {
-    records: Arc<Mutex<Vec<ServeRecord>>>,
+    log: Arc<Mutex<ServeLog>>,
 }
 
 impl SiteProbe {
-    fn record(&self, rec: ServeRecord) {
-        self.records.lock().push(rec);
+    fn record(&self, ctx: &RequestCtx, payload: bool, note: &'static str) {
+        self.log.lock().push(ctx, payload, note);
     }
 
-    /// All records.
+    /// All records, in the order they were served.
     pub fn records(&self) -> Vec<ServeRecord> {
-        self.records.lock().clone()
+        let log = self.log.lock();
+        log.serves.iter().map(|s| log.to_record(s)).collect()
     }
 
-    /// Records where the payload was served.
+    /// Records where the payload was served, in the order served.
     pub fn payload_serves(&self) -> Vec<ServeRecord> {
-        self.records
-            .lock()
+        let log = self.log.lock();
+        log.serves
             .iter()
-            .filter(|r| r.payload)
-            .cloned()
+            .filter(|s| s.payload)
+            .map(|s| log.to_record(s))
             .collect()
     }
 
@@ -127,25 +194,17 @@ impl SiteProbe {
     /// analysis: "GSB bots clicked on the 'confirm' button ... and
     /// successfully retrieved phishing content").
     pub fn payload_reached_by(&self, actor: &str) -> bool {
-        self.records
-            .lock()
-            .iter()
-            .any(|r| r.payload && r.actor == actor)
+        self.log.lock().payloads_to(actor).next().is_some()
     }
 
     /// First time `actor` reached the payload.
     pub fn first_payload_at(&self, actor: &str) -> Option<SimTime> {
-        self.records
-            .lock()
-            .iter()
-            .filter(|r| r.payload && r.actor == actor)
-            .map(|r| r.at)
-            .min()
+        self.log.lock().payloads_to(actor).map(|s| s.at).min()
     }
 
     /// Total requests seen by the site.
     pub fn request_count(&self) -> usize {
-        self.records.lock().len()
+        self.log.lock().serves.len()
     }
 }
 
@@ -255,11 +314,12 @@ pub struct PhishingSite {
     host: String,
     brand: Brand,
     config: GateConfig,
-    payload_html: String,
-    /// The gate's benign cover page, rendered once: it is pure in the
-    /// site's host, brand and config, and bots fetch it thousands of
-    /// times per report.
-    cover_html: String,
+    /// The payload and the gate's benign cover page, each rendered
+    /// once (they are pure in the site's host, brand and config) and
+    /// served by reference: bots fetch them thousands of times per
+    /// report.
+    payload_html: Body,
+    cover_html: Body,
     probe: SiteProbe,
     /// PHP-style sessions: id → has passed the cover page.
     sessions: HashMap<String, bool>,
@@ -279,8 +339,8 @@ impl PhishingSite {
         PhishingSite {
             host: host.to_string(),
             brand,
-            payload_html: brand.login_page_html(),
-            cover_html,
+            payload_html: brand.login_page_html().into(),
+            cover_html: cover_html.into(),
             config,
             probe: SiteProbe::default(),
             sessions: HashMap::new(),
@@ -303,24 +363,14 @@ impl PhishingSite {
         self.brand
     }
 
-    fn log(&self, ctx: &RequestCtx, payload: bool, note: &str) {
-        self.probe.record(ServeRecord {
-            at: ctx.now,
-            src: ctx.src,
-            actor: ctx.actor.to_string(),
-            payload,
-            note: note.to_string(),
-        });
-    }
-
-    fn serve_payload(&self, ctx: &RequestCtx, note: &str) -> Response {
-        self.log(ctx, true, note);
+    fn serve_payload(&self, ctx: &RequestCtx, note: &'static str) -> Response {
+        self.probe.record(ctx, true, note);
         Response::html(self.payload_html.clone())
     }
 
     /// Log a benign serve and answer with the gate's cover page.
-    fn serve_cover(&self, ctx: &RequestCtx, note: &str) -> Response {
-        self.log(ctx, false, note);
+    fn serve_cover(&self, ctx: &RequestCtx, note: &'static str) -> Response {
+        self.probe.record(ctx, false, note);
         Response::html(self.cover_html.clone())
     }
 

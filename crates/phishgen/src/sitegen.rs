@@ -16,6 +16,7 @@
 //! on the first cover-page lookup.
 
 use crate::vocab;
+use phishsim_http::Body;
 use phishsim_simnet::DetRng;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
@@ -27,8 +28,8 @@ pub struct GeneratedPage {
     pub path: String,
     /// Page title.
     pub title: String,
-    /// Full HTML.
-    pub html: String,
+    /// Full HTML, served by reference.
+    pub html: Body,
 }
 
 /// A generated website, ready to install (the paper's ".zip package").
@@ -207,7 +208,7 @@ impl SiteBundle {
                 GeneratedPage {
                     path: paths[i].clone(),
                     title,
-                    html,
+                    html: html.into(),
                 },
             );
         }
@@ -227,7 +228,7 @@ impl SiteBundle {
             GeneratedPage {
                 path: "/index.php".to_string(),
                 title: index_title,
-                html: index_html,
+                html: index_html.into(),
             },
         );
         pages
@@ -273,7 +274,7 @@ mod tests {
     fn site_digest(b: &SiteBundle) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for page in b.pages().values() {
-            for field in [&page.path, &page.title, &page.html] {
+            for field in [&page.path, &page.title, &*page.html] {
                 for &byte in field.as_bytes().iter().chain(&[0xff]) {
                     h ^= u64::from(byte);
                     h = h.wrapping_mul(0x0000_0100_0000_01b3);

@@ -15,7 +15,9 @@
 # The perf step writes results/BENCH_2.json..BENCH_4.json in --quick
 # mode; diff against the committed baselines by hand when a change is
 # perf-relevant. Determinism smokes run each sweep at two thread counts
-# and require the records to be byte-identical.
+# and require its records and packs to be byte-identical. They run at
+# reduced sizes, so each smoke keeps what it wrote in
+# target/smoke-records/ and puts back the committed files it overwrote.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,22 +45,55 @@ done
 # `cargo test` run every crate's unit tests, proptests and doctests plus
 # the root package's; raise the floor when adding tests, never lower it
 # to get a pass.
-TEST_FLOOR=788
+TEST_FLOOR=797
 
-# Run a sweep binary at two thread counts and require byte-identical
-# records: smoke NAME RECORD THREADS_A THREADS_B BIN [ARGS...]
+# Where the determinism smokes leave their reduced-size records and
+# packs (CI uploads this directory).
+SMOKE_DIR=target/smoke-records
+
+# Committed artifacts a running stage has overwritten, copied aside.
+# `restore` puts them back; the EXIT trap runs it too, so a failed
+# smoke leaves no reduced-size file under results/.
+stash_dir="$(mktemp -d)"
+stashed=()
+stash() {
+  local f
+  for f in "$@"; do
+    cp "$f" "$stash_dir/"
+    stashed+=("$f")
+  done
+}
+restore() {
+  local f
+  for f in "${stashed[@]}"; do
+    mv "$stash_dir/$(basename "$f")" "$f"
+  done
+  stashed=()
+}
+trap 'restore; rm -rf "$stash_dir"' EXIT
+
+# Run a sweep binary at two thread counts, require every artifact it
+# writes to be byte-identical between them, copy them to $SMOKE_DIR
+# and put the committed ones back:
+# smoke NAME THREADS_A THREADS_B "ARTIFACTS" BIN [ARGS...]
 smoke() {
-  local name="$1" record="$2" ta="$3" tb="$4"
+  local name="$1" ta="$2" tb="$3" artifacts="$4" f
   shift 4
+  local first="$stash_dir/$name.t$ta"
+  stash $artifacts
+  mkdir -p "$first" "$SMOKE_DIR"
   PHISHSIM_SWEEP_THREADS="$ta" cargo run --release -p phishsim-bench --bin "$@"
-  cp "$record" "$record.t$ta"
+  for f in $artifacts; do cp "$f" "$first/"; done
   PHISHSIM_SWEEP_THREADS="$tb" cargo run --release -p phishsim-bench --bin "$@"
-  if ! diff -q "$record.t$ta" "$record"; then
-    echo "$name record differs between $ta and $tb threads" >&2
-    exit 1
-  fi
-  rm -f "$record.t$ta"
-  echo "$name record byte-identical across thread counts"
+  for f in $artifacts; do
+    if ! cmp -s "$first/$(basename "$f")" "$f"; then
+      echo "$name: $f differs between $ta and $tb threads" >&2
+      exit 1
+    fi
+    cp "$f" "$SMOKE_DIR/"
+  done
+  restore
+  echo "$name artifacts byte-identical across thread counts (copies in $SMOKE_DIR)"
 }
 
 tier1() {
@@ -98,89 +133,49 @@ perf() {
 
 determinism() {
   echo "==> sb_scale determinism smoke (10k clients, 1 vs 4 threads)"
-  smoke sb_scale results/sb_scale.json 1 4 sb_scale -- --clients 10000
+  smoke sb_scale 1 4 "results/sb_scale.json results/sb_scale.runpack" \
+    sb_scale -- --clients 10000
 
   echo "==> resilience determinism smoke (5k clients/level, 1 vs 4 threads)"
-  smoke resilience results/resilience.json 1 4 resilience -- --clients 5000
+  smoke resilience 1 4 results/resilience.json resilience -- --clients 5000
 
   echo "==> sb_scale_50m determinism smoke (fast cohort sweep, 1 vs 8 threads)"
   # Cohort compression, the mirror tier, and the exact-baseline guard
-  # must all be thread-invariant; the bin also rewrites the pack, so
-  # pin both artifacts like the fleet smokes do. Every run rewrites
-  # BENCH_5.json with host timings; the full-scale check below puts
-  # this copy back.
-  cp results/BENCH_5.json results/.BENCH_5.saved.json
-  PHISHSIM_SWEEP_THREADS=1 cargo run --release -p phishsim-bench --bin sb_scale_50m -- fast
-  cp results/sb_scale_50m.json results/.sb_scale_50m.t1.json
-  cp results/sb_scale_50m.runpack results/.sb_scale_50m.t1.runpack
-  PHISHSIM_SWEEP_THREADS=8 cargo run --release -p phishsim-bench --bin sb_scale_50m -- fast
-  if ! diff -q results/.sb_scale_50m.t1.json results/sb_scale_50m.json; then
-    echo "sb_scale_50m record differs between 1 and 8 threads" >&2
-    exit 1
-  fi
-  if ! cmp -s results/.sb_scale_50m.t1.runpack results/sb_scale_50m.runpack; then
-    echo "sb_scale_50m pack differs between 1 and 8 threads" >&2
-    exit 1
-  fi
-  rm -f results/.sb_scale_50m.t1.json results/.sb_scale_50m.t1.runpack
-  echo "sb_scale_50m record and pack byte-identical across thread counts"
+  # must all be thread-invariant. Every run also rewrites BENCH_5.json
+  # with host timings, which are not compared.
+  stash results/BENCH_5.json
+  smoke sb_scale_50m 1 8 "results/sb_scale_50m.json results/sb_scale_50m.runpack" \
+    sb_scale_50m -- fast
 
   echo "==> sb_scale_50m full scale (1M/10M/50M, 2 threads) vs the committed record"
   # The committed record comes from a full one-thread run; a full run
   # on two threads (~18 s, ~187 MB peak on a 2-vCPU host) must
-  # reproduce it byte for byte, and it also overwrites the fast
-  # smoke's reduced record above. The thread count is pinned because
-  # the table build holds one row map per thread, so peak RSS (guarded
-  # by the bin) grows on hosts with many cores.
+  # reproduce it byte for byte. The thread count is pinned because the
+  # table build holds one row map per thread, so peak RSS (guarded by
+  # the bin) grows on hosts with many cores.
+  stash results/sb_scale_50m.json results/sb_scale_50m.runpack results/BENCH_5.json
   PHISHSIM_SWEEP_THREADS=2 cargo run --release -p phishsim-bench --bin sb_scale_50m
-  mv results/.BENCH_5.saved.json results/BENCH_5.json
   if ! git show HEAD:results/sb_scale_50m.json | diff -q - results/sb_scale_50m.json; then
     echo "full-scale sb_scale_50m record differs from the committed one" >&2
     exit 1
   fi
+  restore
   echo "full-scale sb_scale_50m record equals the committed one"
 
   echo "==> obs_report determinism smoke (full volume, 1 vs 8 threads)"
-  smoke obs_report results/obs_report.json 1 8 obs_report
+  smoke obs_report 1 8 "results/obs_report.json results/obs_report.runpack" obs_report
 
   echo "==> fleet_sweep determinism smoke (fast stream, 1 vs 8 threads)"
-  # The fleet bin also rewrites results/fleet_sweep.runpack on every
-  # run; pin the 1-thread pack bytes and require the 8-thread rerun to
-  # reproduce them too.
-  PHISHSIM_SWEEP_THREADS=1 cargo run --release -p phishsim-bench --bin fleet_sweep -- fast
-  cp results/fleet_sweep.json results/.fleet_sweep.t1.json
-  cp results/fleet_sweep.runpack results/.fleet_sweep.t1.runpack
-  PHISHSIM_SWEEP_THREADS=8 cargo run --release -p phishsim-bench --bin fleet_sweep -- fast
-  if ! diff -q results/.fleet_sweep.t1.json results/fleet_sweep.json; then
-    echo "fleet_sweep record differs between 1 and 8 threads" >&2
-    exit 1
-  fi
-  if ! cmp -s results/.fleet_sweep.t1.runpack results/fleet_sweep.runpack; then
-    echo "fleet_sweep pack differs between 1 and 8 threads" >&2
-    exit 1
-  fi
-  rm -f results/.fleet_sweep.t1.json results/.fleet_sweep.t1.runpack
-  echo "fleet_sweep record and pack byte-identical across thread counts"
+  smoke fleet_sweep 1 8 "results/fleet_sweep.json results/fleet_sweep.runpack" \
+    fleet_sweep -- fast
 
   echo "==> fleet_chaos determinism smoke (fast sweep, 1 vs 8 threads)"
   # Worker-chaos sweep: crash/hang/restart fault plans and supervised
   # recovery must be just as thread-invariant as the fault-free fleet.
   # The bin asserts its own floors (zero lost reports, >=90% throughput
   # retention at 1% crash rate) on every run.
-  PHISHSIM_SWEEP_THREADS=1 cargo run --release -p phishsim-bench --bin fleet_chaos -- fast
-  cp results/fleet_chaos.json results/.fleet_chaos.t1.json
-  cp results/fleet_chaos.runpack results/.fleet_chaos.t1.runpack
-  PHISHSIM_SWEEP_THREADS=8 cargo run --release -p phishsim-bench --bin fleet_chaos -- fast
-  if ! diff -q results/.fleet_chaos.t1.json results/fleet_chaos.json; then
-    echo "fleet_chaos record differs between 1 and 8 threads" >&2
-    exit 1
-  fi
-  if ! cmp -s results/.fleet_chaos.t1.runpack results/fleet_chaos.runpack; then
-    echo "fleet_chaos pack differs between 1 and 8 threads" >&2
-    exit 1
-  fi
-  rm -f results/.fleet_chaos.t1.json results/.fleet_chaos.t1.runpack
-  echo "fleet_chaos record and pack byte-identical across thread counts"
+  smoke fleet_chaos 1 8 "results/fleet_chaos.json results/fleet_chaos.runpack" \
+    fleet_chaos -- fast
 }
 
 replay() {

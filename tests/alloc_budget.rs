@@ -4,12 +4,14 @@
 //! At paper volume the main experiment sends 630,330 background
 //! requests through the engines' probe loop, the world's DNS step, the
 //! hosting farm and the gate handlers, and each one lands in the access
-//! log. One test counts heap allocations made on its own thread while
-//! the experiment runs at two traffic volumes, and bounds the extra
-//! allocations per extra access-log entry. Another bounds a whole
-//! fast run, whose cost is per-run setup and browser visits: it fails
-//! when setup goes back to building cover sites nobody requests or
-//! stepping the monitor's poll ticks one by one.
+//! log. One test counts heap allocations, and the bytes they request,
+//! made on its own thread while the experiment runs at two traffic
+//! volumes, and bounds both per extra access-log entry: a gate that
+//! copied its page into every response would fail the byte budget.
+//! Another bounds a whole fast run, whose cost is per-run setup and
+//! browser visits: it fails when setup goes back to building cover
+//! sites nobody requests or stepping the monitor's poll ticks one by
+//! one.
 //!
 //! The feed tests bound the cohort path: a cohort-table build must not
 //! allocate per client (no map per batch of clients, no formatted fork
@@ -31,7 +33,12 @@ use std::cell::Cell;
 /// Allocations allowed per background request, counting everything the
 /// request causes: the probe loop, DNS, the farm's log append and the
 /// handler's response.
-const BUDGET_PER_REQUEST: f64 = 10.0;
+const BUDGET_PER_REQUEST: f64 = 7.0;
+
+/// Bytes those allocations may request per background request (a
+/// `realloc` counts its new size). Gate pages are shared, not copied
+/// into each response.
+const BYTES_PER_REQUEST: f64 = 512.0;
 
 /// Allocations allowed for one `MainConfig::fast()` run.
 const FAST_RUN_BUDGET: u64 = 50_000;
@@ -46,30 +53,32 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(bytes: usize) {
     // `try_with`: the allocator can run while thread-locals are torn
     // down; those allocations are not the test's to count.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every call forwards unchanged to the system allocator; the
-// counter is a const-initialised thread-local `Cell` that never
-// allocates or panics.
+// counters are const-initialised thread-local `Cell`s that never
+// allocate or panic.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -81,36 +90,47 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations made by one main-experiment run at `volume_scale`, and
-/// the number of access-log entries it left.
-fn run(volume_scale: f64) -> (u64, usize) {
+/// Allocations and allocated bytes of one main-experiment run at
+/// `volume_scale`, and the number of access-log entries it left.
+fn run(volume_scale: f64) -> (u64, u64, usize) {
     let config = MainConfig {
         volume_scale,
         ..MainConfig::paper()
     };
-    let before = ALLOCS.with(Cell::get);
+    let allocs = ALLOCS.with(Cell::get);
+    let bytes = BYTES.with(Cell::get);
     let result = run_main_experiment(&config);
-    let allocs = ALLOCS.with(Cell::get) - before;
-    (allocs, result.world.log.len())
+    (
+        ALLOCS.with(Cell::get) - allocs,
+        BYTES.with(Cell::get) - bytes,
+        result.world.log.len(),
+    )
 }
 
 #[test]
 fn background_requests_stay_within_the_allocation_budget() {
-    let (base_allocs, base_entries) = run(0.0);
-    let (allocs, entries) = run(0.1);
+    let (base_allocs, base_bytes, base_entries) = run(0.0);
+    let (allocs, bytes, entries) = run(0.1);
     assert!(
         entries > base_entries + 10_000,
         "volume 0.1 must add background traffic: {base_entries} -> {entries} entries"
     );
-    let per_request = (allocs - base_allocs) as f64 / (entries - base_entries) as f64;
+    let extra = (entries - base_entries) as f64;
+    let per_request = (allocs - base_allocs) as f64 / extra;
+    let bytes_per_request = (bytes - base_bytes) as f64 / extra;
     eprintln!(
-        "{} extra allocations over {} extra log entries: {per_request:.2} per request",
+        "{} extra allocations ({} B) over {extra} extra log entries: \
+         {per_request:.2} allocations, {bytes_per_request:.0} B per request",
         allocs - base_allocs,
-        entries - base_entries
+        bytes - base_bytes,
     );
     assert!(
         per_request <= BUDGET_PER_REQUEST,
         "{per_request:.2} allocations per background request, budget {BUDGET_PER_REQUEST}"
+    );
+    assert!(
+        bytes_per_request <= BYTES_PER_REQUEST,
+        "{bytes_per_request:.0} B allocated per background request, budget {BYTES_PER_REQUEST}"
     );
 }
 

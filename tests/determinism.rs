@@ -1,7 +1,9 @@
 //! Reproducibility contract: the same seed regenerates byte-identical
-//! experiment tables, and different seeds genuinely differ.
+//! experiment tables, different seeds genuinely differ, and observing a
+//! run changes nothing it computes.
 
 use phishsim::prelude::*;
+use phishsim::simnet::ObsSink;
 
 #[test]
 fn main_experiment_is_byte_identical_per_seed() {
@@ -58,4 +60,35 @@ fn cloaking_baseline_is_deterministic() {
     let b = run_cloaking_baseline(&CloakingConfig::fast());
     assert_eq!(a.naked.detection, b.naked.detection);
     assert_eq!(a.cloaked.detection, b.cloaked.detection);
+}
+
+/// The observer-effect guard (DESIGN §9.4): the obs layer never
+/// touches a `DetRng`, so a run with a memory sink attached serializes
+/// to the same Table 1 and Table 2 as a run with the default Null sink.
+#[test]
+fn memory_sink_changes_neither_table() {
+    let null_run = run_preliminary(&PreliminaryConfig::fast());
+    let mut observed = PreliminaryConfig::fast();
+    observed.obs = ObsSink::memory();
+    let memory_run = run_preliminary(&observed);
+    assert!(!observed.obs.events().is_empty(), "the sink saw the run");
+    assert_eq!(
+        serde_json::to_string(&null_run.table).unwrap(),
+        serde_json::to_string(&memory_run.table).unwrap(),
+        "attaching a memory sink changed Table 1: observer effect"
+    );
+
+    let null_main = run_main_experiment(&MainConfig::fast());
+    let mut observed_main = MainConfig::fast();
+    observed_main.obs = ObsSink::memory();
+    let memory_main = run_main_experiment(&observed_main);
+    assert!(
+        !observed_main.obs.events().is_empty(),
+        "the sink saw the run"
+    );
+    assert_eq!(
+        serde_json::to_string(&null_main.table).unwrap(),
+        serde_json::to_string(&memory_main.table).unwrap(),
+        "attaching a memory sink changed Table 2: observer effect"
+    );
 }
