@@ -48,6 +48,11 @@ pub struct World {
     faults: FaultInjector,
     link_rng: DetRng,
     obs: ObsSink,
+    /// The host string [`World::resolve`] last parsed, and its parse
+    /// (`None` when it is not a domain name): a probe burst resolves
+    /// one host many times in a row, and parsing is pure.
+    parsed_host: String,
+    parsed_name: Option<DomainName>,
 }
 
 impl World {
@@ -68,6 +73,9 @@ impl World {
             faults: FaultInjector::none(),
             link_rng: rng.fork("links"),
             obs: ObsSink::Null,
+            // "" does not parse, so the empty memo is a true one.
+            parsed_host: String::new(),
+            parsed_name: None,
             farm,
             log,
             rng,
@@ -104,8 +112,13 @@ impl World {
 
     /// Resolve a host name to a hosting address at `now`.
     pub fn resolve(&mut self, host: &str, now: SimTime) -> Option<Ipv4Sim> {
-        let name = DomainName::parse(host).ok()?;
-        self.resolver.resolve_addr(&self.registry, &name, now)
+        if self.parsed_host != host {
+            self.parsed_host.clear();
+            self.parsed_host.push_str(host);
+            self.parsed_name = DomainName::parse(host).ok();
+        }
+        let name = self.parsed_name.as_ref()?;
+        self.resolver.resolve_addr(&self.registry, name, now)
     }
 }
 
@@ -231,6 +244,72 @@ mod tests {
             .fetch(Ipv4Sim::new(9, 9, 9, 9), "test", &req, SimTime::ZERO)
             .unwrap_err();
         assert_eq!(err, FetchError::DnsFailure("ghost.com".into()));
+    }
+
+    #[test]
+    fn alternating_hosts_resolve_each_from_its_own_parse() {
+        use phishsim_http::Status;
+        let mut w = World::new(1);
+        install_site(&mut w, "hosted-site.com");
+        // A 30-day registration whose owner stopped renewing: it
+        // resolves until expiry, then drops out of the zone.
+        let lapsed = DomainName::parse("lapsed-site.com").unwrap();
+        w.registry
+            .register(
+                lapsed.clone(),
+                "ovh",
+                SimTime::ZERO,
+                SimDuration::from_days(30),
+            )
+            .unwrap();
+        let addr = w.farm.install_site(
+            "lapsed-site.com",
+            Box::new(|_: &Request, _: &RequestCtx| Response::html("lapsed")),
+            None,
+        );
+        w.registry
+            .delegate(
+                &lapsed,
+                Zone::hosting(lapsed.clone(), addr, 1, false),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        w.registry.abandon(&lapsed).unwrap();
+
+        let early = SimTime::from_mins(1);
+        let expired = SimTime::from_hours(31 * 24);
+        // (host as sent, time, served body or the failed host).
+        let steps: [(&str, SimTime, Result<&str, &str>); 9] = [
+            ("hosted-site.com", early, Ok("served")),
+            ("ghost.com", early, Err("ghost.com")),
+            ("hosted-site.com", early, Ok("served")),
+            // Resolves like its lower-case spelling; the farm's vhost
+            // table is keyed lower-case, so it answers 404.
+            ("Hosted-Site.COM", early, Ok("404")),
+            ("not a host", early, Err("not a host")),
+            ("lapsed-site.com", early, Ok("lapsed")),
+            ("lapsed-site.com", expired, Err("lapsed-site.com")),
+            ("hosted-site.com", expired, Ok("served")),
+            ("lapsed-site.com", expired, Err("lapsed-site.com")),
+        ];
+        // Twice round, the second time in reverse, so every host follows
+        // a different one.
+        for (host, at, expect) in steps.iter().chain(steps.iter().rev()) {
+            let mut req = Request::get(Url::https("placeholder.com", "/"));
+            req.url.host = host.to_string();
+            let got = w.fetch(Ipv4Sim::new(9, 9, 9, 9), "test", &req, *at);
+            match (got, expect) {
+                (Ok((resp, _)), Ok("404")) => assert_eq!(resp.status, Status::NotFound, "{host}"),
+                (Ok((resp, _)), Ok(body)) => {
+                    assert_eq!(resp.status, Status::Ok, "{host}");
+                    assert_eq!(resp.body, *body, "{host}");
+                }
+                (Err(err), Err(failed)) => {
+                    assert_eq!(err, FetchError::DnsFailure(failed.to_string()), "{host}")
+                }
+                (got, _) => panic!("{host} at {at}: expected {expect:?}, got {got:?}"),
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::name::DomainName;
 use crate::records::Zone;
-use phishsim_simnet::{SimDuration, SimTime};
+use phishsim_simnet::{BuildSymHasher, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -73,14 +73,36 @@ struct Registration {
     synthetic_delegation: bool,
 }
 
+impl Registration {
+    /// The lifecycle state of this registration at `now`.
+    fn state(&self, now: SimTime) -> DomainState {
+        if now < self.expires_at || !self.abandoned {
+            // Auto-renewed registrations never lapse in the sim.
+            return DomainState::Registered;
+        }
+        let since_expiry = now.since(self.expires_at);
+        if since_expiry < lifecycle::GRACE {
+            DomainState::ExpiredGrace
+        } else if since_expiry < lifecycle::GRACE + lifecycle::REDEMPTION {
+            DomainState::Redemption
+        } else if since_expiry
+            < lifecycle::GRACE + lifecycle::REDEMPTION + lifecycle::PENDING_DELETE
+        {
+            DomainState::PendingDelete
+        } else {
+            DomainState::Available
+        }
+    }
+}
+
 /// The shared registry for all TLDs in the simulation.
 ///
 /// State queries take the current [`SimTime`] so the lifecycle is a pure
 /// function of the stored registration and the clock — no background
-/// tasks to run.
+/// tasks to run. Each query looks its name up once.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    domains: HashMap<DomainName, Registration>,
+    domains: HashMap<DomainName, Registration, BuildSymHasher>,
 }
 
 /// Errors from registry operations.
@@ -111,30 +133,9 @@ impl Registry {
 
     /// The lifecycle state of `name` at time `now`.
     pub fn state(&self, name: &DomainName, now: SimTime) -> DomainState {
-        match self.domains.get(name) {
-            None => DomainState::Available,
-            Some(reg) => {
-                if now < reg.expires_at {
-                    return DomainState::Registered;
-                }
-                if !reg.abandoned {
-                    // Auto-renewed registrations never lapse in the sim.
-                    return DomainState::Registered;
-                }
-                let since_expiry = now.since(reg.expires_at);
-                if since_expiry < lifecycle::GRACE {
-                    DomainState::ExpiredGrace
-                } else if since_expiry < lifecycle::GRACE + lifecycle::REDEMPTION {
-                    DomainState::Redemption
-                } else if since_expiry
-                    < lifecycle::GRACE + lifecycle::REDEMPTION + lifecycle::PENDING_DELETE
-                {
-                    DomainState::PendingDelete
-                } else {
-                    DomainState::Available
-                }
-            }
-        }
+        self.domains
+            .get(name)
+            .map_or(DomainState::Available, |reg| reg.state(now))
     }
 
     /// Register `name` to `registrar` for `term`, replacing any released
@@ -228,23 +229,22 @@ impl Registry {
     /// True if the domain currently resolves: it is registered and either
     /// holds a concrete zone or carries the synthetic-delegation marker.
     pub fn is_delegated(&self, name: &DomainName, now: SimTime) -> bool {
-        match self.domains.get(name) {
-            Some(reg) if self.state(name, now) == DomainState::Registered => {
-                reg.zone.is_some() || reg.synthetic_delegation
-            }
-            _ => false,
-        }
+        self.active(name, now)
+            .is_some_and(|reg| reg.zone.is_some() || reg.synthetic_delegation)
     }
 
     /// True if the domain is registered with the synthetic-delegation
     /// marker but no concrete zone.
     pub fn has_synthetic_delegation(&self, name: &DomainName, now: SimTime) -> bool {
-        match self.domains.get(name) {
-            Some(reg) if self.state(name, now) == DomainState::Registered => {
-                reg.zone.is_none() && reg.synthetic_delegation
-            }
-            _ => false,
-        }
+        self.active(name, now)
+            .is_some_and(|reg| reg.zone.is_none() && reg.synthetic_delegation)
+    }
+
+    /// The registration of `name`, if it is actively registered at `now`.
+    fn active(&self, name: &DomainName, now: SimTime) -> Option<&Registration> {
+        self.domains
+            .get(name)
+            .filter(|reg| reg.state(now) == DomainState::Registered)
     }
 
     /// Attach (delegate) a zone to an actively registered domain.
@@ -254,24 +254,20 @@ impl Registry {
         zone: Zone,
         now: SimTime,
     ) -> Result<(), RegistryError> {
-        if self.state(name, now) != DomainState::Registered {
-            return Err(RegistryError::NotRegistered);
+        match self.domains.get_mut(name) {
+            Some(reg) if reg.state(now) == DomainState::Registered => {
+                reg.zone = Some(zone);
+                Ok(())
+            }
+            _ => Err(RegistryError::NotRegistered),
         }
-        let reg = self.domains.get_mut(name).expect("state says registered");
-        reg.zone = Some(zone);
-        Ok(())
     }
 
     /// The delegated zone of a domain, if it is currently registered and
     /// has one. Domains past expiry stop resolving (their delegation is
     /// pulled), which is why step 1 of the paper's pipeline sees NXDOMAIN.
     pub fn zone(&self, name: &DomainName, now: SimTime) -> Option<&Zone> {
-        let reg = self.domains.get(name)?;
-        if self.state(name, now) == DomainState::Registered {
-            reg.zone.as_ref()
-        } else {
-            None
-        }
+        self.active(name, now)?.zone.as_ref()
     }
 
     /// WHOIS lookup at time `now`.
@@ -283,15 +279,12 @@ impl Registry {
     /// API).
     pub fn whois(&self, name: &DomainName, now: SimTime) -> WhoisAnswer {
         match self.domains.get(name) {
-            None => WhoisAnswer::NotFound,
-            Some(reg) => match self.state(name, now) {
-                DomainState::Available => WhoisAnswer::NotFound,
-                _ => WhoisAnswer::Found {
-                    registrar: reg.registrar.clone(),
-                    registered_at: reg.registered_at,
-                    expires_at: reg.expires_at,
-                },
+            Some(reg) if reg.state(now) != DomainState::Available => WhoisAnswer::Found {
+                registrar: reg.registrar.clone(),
+                registered_at: reg.registered_at,
+                expires_at: reg.expires_at,
             },
+            _ => WhoisAnswer::NotFound,
         }
     }
 

@@ -9,7 +9,7 @@
 use crate::name::DomainName;
 use crate::records::{Record, RecordData, RecordType, Zone};
 use crate::registry::Registry;
-use phishsim_simnet::{SimDuration, SimTime};
+use phishsim_simnet::{BuildSymHasher, SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// DNS response codes the simulation distinguishes.
@@ -125,12 +125,26 @@ impl<'r> Authority<'r> {
 /// Negative-cache TTL (SOA minimum in real life; fixed here).
 const NEGATIVE_TTL: SimDuration = SimDuration::from_mins(15);
 
+/// One cache slot per [`RecordType`], indexed by [`slot`].
+type Slots = [Option<CacheEntry>; 5];
+
+/// The cache slot of `rtype`.
+fn slot(rtype: RecordType) -> usize {
+    match rtype {
+        RecordType::Soa => 0,
+        RecordType::Ns => 1,
+        RecordType::A => 2,
+        RecordType::Txt => 3,
+        RecordType::Ds => 4,
+    }
+}
+
 /// A caching stub resolver over a [`Registry`].
 #[derive(Debug)]
 pub struct Resolver {
-    /// Cached answers by name, then record type: a hit looks the name up
-    /// by reference, without building an owned key.
-    cache: HashMap<DomainName, HashMap<RecordType, CacheEntry>>,
+    /// Cached answers by name, one slot per record type: a query looks
+    /// the name up once, by reference, without building an owned key.
+    cache: HashMap<DomainName, Slots, BuildSymHasher>,
     caching: bool,
     /// Count of queries answered from cache / from authority.
     pub cache_hits: u64,
@@ -141,7 +155,7 @@ pub struct Resolver {
 impl Default for Resolver {
     fn default() -> Self {
         Resolver {
-            cache: HashMap::new(),
+            cache: HashMap::default(),
             caching: true,
             cache_hits: 0,
             authoritative_lookups: 0,
@@ -211,7 +225,7 @@ impl Resolver {
         let stale = self
             .cache
             .get_mut(name)
-            .and_then(|by_type| by_type.get_mut(&rtype));
+            .and_then(|slots| slots[slot(rtype)].as_mut());
         if let Some(entry) = stale.as_deref().filter(|e| e.live_at(now)) {
             self.cache_hits += 1;
             return read(entry.rcode, &entry.answers, true);
@@ -245,10 +259,7 @@ impl Resolver {
                 cached_at: now,
                 expires_at: now + ttl,
             };
-            self.cache
-                .entry(name.clone())
-                .or_default()
-                .insert(rtype, entry);
+            self.cache.entry(name.clone()).or_default()[slot(rtype)] = Some(entry);
         }
         out
     }

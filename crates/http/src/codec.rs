@@ -90,7 +90,7 @@ fn parse_headers(lines: &[String]) -> Result<Headers, CodecError> {
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| CodecError::Malformed(format!("bad header line: {line:?}")))?;
-        headers.append(name.trim(), value.trim());
+        headers.append(name.trim().to_string(), value.trim().to_string());
     }
     Ok(headers)
 }
@@ -143,18 +143,14 @@ pub fn decode_request(buf: &mut BytesMut) -> Result<Request, CodecError> {
     // reconstructs with https (all experiment sites have certificates).
     let url = Url::parse(&format!("https://{host}{target}"))
         .map_err(|e| CodecError::Malformed(format!("bad target: {e}")))?;
-    let mut headers_out = Headers::new();
-    for (n, v) in headers.iter() {
-        if n.eq_ignore_ascii_case("host") || n.eq_ignore_ascii_case("content-length") {
-            continue;
-        }
-        headers_out.append(n, v);
-    }
+    let mut headers = headers;
+    headers.remove("host");
+    headers.remove("content-length");
     buf.advance(body_start + len);
     Ok(Request {
         method,
         url,
-        headers: headers_out,
+        headers,
         body,
     })
 }
@@ -188,17 +184,12 @@ pub fn decode_response(buf: &mut BytesMut) -> Result<Response, CodecError> {
     let body = std::str::from_utf8(&buf[body_start..body_start + len])
         .map_err(|_| CodecError::Malformed("non-UTF-8 body".into()))?
         .into();
-    let mut headers_out = Headers::new();
-    for (n, v) in headers.iter() {
-        if n.eq_ignore_ascii_case("content-length") {
-            continue;
-        }
-        headers_out.append(n, v);
-    }
+    let mut headers = headers;
+    headers.remove("content-length");
     buf.advance(body_start + len);
     Ok(Response {
         status,
-        headers: headers_out,
+        headers,
         body,
     })
 }

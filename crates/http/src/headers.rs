@@ -1,11 +1,16 @@
 //! Case-insensitive header map.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Map, Serialize, Value};
+use std::borrow::Cow;
+
+/// A header name or value: static text (the fixed headers every
+/// response carries) is stored without copying.
+type Text = Cow<'static, str>;
 
 /// An ordered, case-insensitive multimap of HTTP headers.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Headers {
-    entries: Vec<(String, String)>,
+    entries: Vec<(Text, Text)>,
 }
 
 impl Headers {
@@ -14,9 +19,11 @@ impl Headers {
         Self::default()
     }
 
-    /// Append a header (duplicates allowed, as for `Set-Cookie`).
-    pub fn append(&mut self, name: &str, value: &str) {
-        self.entries.push((name.to_string(), value.to_string()));
+    /// Append a header (duplicates allowed, as for `Set-Cookie`). A
+    /// `&'static str` is stored by reference and a `String` is moved
+    /// in; neither is copied.
+    pub fn append(&mut self, name: impl Into<Text>, value: impl Into<Text>) {
+        self.entries.push((name.into(), value.into()));
     }
 
     /// Replace all values of `name` with a single value, appended last.
@@ -25,16 +32,22 @@ impl Headers {
     /// has no other value, its value is overwritten in place, reusing
     /// the buffer: the same result without allocating, which is what a
     /// request reused across many sends relies on.
-    pub fn set(&mut self, name: &str, value: &str) {
+    pub fn set(&mut self, name: impl Into<Text>, value: &str) {
+        let name = name.into();
         if let Some(((last_name, last_value), rest)) = self.entries.split_last_mut() {
-            if last_name == name && !rest.iter().any(|(n, _)| n.eq_ignore_ascii_case(name)) {
-                last_value.clear();
-                last_value.push_str(value);
+            if *last_name == name && !rest.iter().any(|(n, _)| n.eq_ignore_ascii_case(&name)) {
+                match last_value {
+                    Cow::Owned(buf) => {
+                        buf.clear();
+                        buf.push_str(value);
+                    }
+                    Cow::Borrowed(_) => *last_value = Cow::Owned(value.to_string()),
+                }
                 return;
             }
         }
-        self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
-        self.append(name, value);
+        self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(&name));
+        self.append(name, value.to_string());
     }
 
     /// First value of `name`, case-insensitively.
@@ -42,7 +55,7 @@ impl Headers {
         self.entries
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| &**v)
     }
 
     /// All values of `name`.
@@ -50,7 +63,7 @@ impl Headers {
         self.entries
             .iter()
             .filter(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| &**v)
             .collect()
     }
 
@@ -68,7 +81,7 @@ impl Headers {
 
     /// All `(name, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        self.entries.iter().map(|(n, v)| (&**n, &**v))
     }
 
     /// Number of header lines.
@@ -79,6 +92,30 @@ impl Headers {
     /// True if no headers are present.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+/// The derived layout of a `Vec<(String, String)>` field:
+/// `{"entries": [[name, value], ...]}`.
+impl Serialize for Headers {
+    fn to_value(&self) -> Value {
+        let entries: Vec<(&str, &str)> = self.iter().collect();
+        Value::Object(Map::from([("entries".to_string(), entries.to_value())]))
+    }
+}
+
+impl Deserialize for Headers {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let entries = value
+            .get("entries")
+            .ok_or_else(|| DeError::custom("Headers: missing field `entries`"))?;
+        let entries: Vec<(String, String)> = Vec::from_value(entries)?;
+        Ok(Headers {
+            entries: entries
+                .into_iter()
+                .map(|(n, v)| (n.into(), v.into()))
+                .collect(),
+        })
     }
 }
 
@@ -153,5 +190,26 @@ mod tests {
         let pairs: Vec<(&str, &str)> = h.iter().collect();
         assert_eq!(pairs, vec![("A", "1"), ("B", "2")]);
         assert_eq!(h.len(), 2);
+    }
+
+    #[test]
+    fn serde_layout_is_the_derived_one() {
+        #[derive(Serialize)]
+        struct Derived {
+            entries: Vec<(String, String)>,
+        }
+        let mut h = Headers::new();
+        h.append("Content-Type", "text/html");
+        h.append("Set-Cookie".to_string(), format!("id={}", 7));
+        h.set("X-Seen", "1");
+        let derived = Derived {
+            entries: h
+                .iter()
+                .map(|(n, v)| (n.to_string(), v.to_string()))
+                .collect(),
+        };
+        assert_eq!(h.to_value(), derived.to_value());
+        assert_eq!(Headers::from_value(&h.to_value()).unwrap(), h);
+        assert!(Headers::from_value(&Value::Bool(true)).is_err());
     }
 }

@@ -4,6 +4,7 @@ use crate::body::Body;
 use crate::headers::Headers;
 use crate::url::Url;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::LazyLock;
@@ -201,26 +202,29 @@ static NOT_FOUND_BODY: LazyLock<Body> = LazyLock::new(|| {
 /// The one (empty) body every redirect shares.
 static EMPTY_BODY: LazyLock<Body> = LazyLock::new(|| Body::from(""));
 
+/// The headers of an HTML response; their text is static, not copied.
+fn html_headers() -> Headers {
+    let mut headers = Headers::new();
+    headers.append("Content-Type", "text/html; charset=utf-8");
+    headers
+}
+
 impl Response {
     /// A 200 response with an HTML body. Passing a [`Body`] serves it
     /// without copying.
     pub fn html(body: impl Into<Body>) -> Self {
-        let mut headers = Headers::new();
-        headers.set("Content-Type", "text/html; charset=utf-8");
         Response {
             status: Status::Ok,
-            headers,
+            headers: html_headers(),
             body: body.into(),
         }
     }
 
     /// A 404 response.
     pub fn not_found() -> Self {
-        let mut headers = Headers::new();
-        headers.set("Content-Type", "text/html; charset=utf-8");
         Response {
             status: Status::NotFound,
-            headers,
+            headers: html_headers(),
             body: NOT_FOUND_BODY.clone(),
         }
     }
@@ -236,8 +240,9 @@ impl Response {
         }
     }
 
-    /// Append a `Set-Cookie` header (builder style).
-    pub fn with_set_cookie(mut self, cookie: &str) -> Self {
+    /// Append a `Set-Cookie` header (builder style). The cookie is
+    /// stored without copying.
+    pub fn with_set_cookie(mut self, cookie: impl Into<Cow<'static, str>>) -> Self {
         self.headers.append("Set-Cookie", cookie);
         self
     }

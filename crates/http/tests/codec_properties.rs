@@ -35,7 +35,7 @@ fn headers_strategy() -> impl Strategy<Value = Headers> {
             if k.eq_ignore_ascii_case("host") || k.eq_ignore_ascii_case("content-length") {
                 continue;
             }
-            h.append(&k, v.trim());
+            h.append(k, v.trim().to_string());
         }
         h
     })

@@ -27,9 +27,9 @@ use parking_lot::Mutex;
 use phishsim_captcha::{widget_markup, CaptchaProvider, ResponseToken, SecretKey, SiteKey};
 use phishsim_html::ScriptEffect;
 use phishsim_http::{Body, Handler, Request, RequestCtx, Response, UserAgent};
-use phishsim_simnet::{DetRng, Ipv4Sim, SimTime};
+use phishsim_simnet::{BuildSymHasher, DetRng, Ipv4Sim, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The evasion technique protecting a phishing page.
@@ -321,8 +321,9 @@ pub struct PhishingSite {
     payload_html: Body,
     cover_html: Body,
     probe: SiteProbe,
-    /// PHP-style sessions: id → has passed the cover page.
-    sessions: HashMap<String, bool>,
+    /// PHP-style sessions: the ids this site issued. Each one passed
+    /// through the cover page, which is where ids are issued.
+    sessions: HashSet<u128, BuildSymHasher>,
     rng: DetRng,
 }
 
@@ -343,7 +344,7 @@ impl PhishingSite {
             cover_html: cover_html.into(),
             config,
             probe: SiteProbe::default(),
-            sessions: HashMap::new(),
+            sessions: HashSet::default(),
             rng: rng.fork(&format!("phishsite:{host}")),
         }
     }
@@ -374,21 +375,28 @@ impl PhishingSite {
         Response::html(self.cover_html.clone())
     }
 
-    fn fresh_session_id(&mut self) -> String {
+    /// A new session id: two draws, the first the high half.
+    fn fresh_session_id(&mut self) -> u128 {
         use rand::RngCore;
-        format!("{:016x}{:016x}", self.rng.next_u64(), self.rng.next_u64())
+        let hi = self.rng.next_u64();
+        let lo = self.rng.next_u64();
+        (u128::from(hi) << 64) | u128::from(lo)
     }
 
-    fn session_of(req: &Request) -> Option<String> {
+    /// The session id of the request's first `PHPSESSID` cookie, if it
+    /// has the form this site issues: exactly 32 lowercase hex digits.
+    /// Any other value was never issued, so it names no session.
+    fn session_of(req: &Request) -> Option<u128> {
         let header = req.headers.get("Cookie")?;
-        header.split(';').find_map(|kv| {
+        let id = header.split(';').find_map(|kv| {
             let (k, v) = kv.trim().split_once('=')?;
-            if k == "PHPSESSID" {
-                Some(v.to_string())
-            } else {
-                None
-            }
-        })
+            (k == "PHPSESSID").then_some(v)
+        })?;
+        let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+        if id.len() != 32 || !id.bytes().all(lower_hex) {
+            return None;
+        }
+        u128::from_str_radix(id, 16).ok()
     }
 
     fn handle_alert_box(&mut self, req: &Request, ctx: &RequestCtx) -> Response {
@@ -411,22 +419,18 @@ impl PhishingSite {
                 req.form_field("login_email").is_some_and(|v| !v.is_empty())
             }
         };
-        match session {
-            Some(id) if proceed && self.sessions.get(&id).copied().unwrap_or(false) => {
-                self.serve_payload(ctx, "session-pass")
-            }
-            Some(id) if self.sessions.contains_key(&id) => {
-                // Valid session revisiting the cover.
-                self.serve_cover(ctx, "session-cover")
-            }
-            _ => {
+        match session.filter(|id| self.sessions.contains(id)) {
+            Some(_) if proceed => self.serve_payload(ctx, "session-pass"),
+            // Valid session revisiting the cover.
+            Some(_) => self.serve_cover(ctx, "session-cover"),
+            None => {
                 // No (valid) session: plant one and serve the cover.
                 // A POST without a session gets no payload — the session
                 // must be generated on the first page (§2.3).
                 let id = self.fresh_session_id();
-                self.sessions.insert(id.clone(), true);
+                self.sessions.insert(id);
                 let resp = self.serve_cover(ctx, "session-new");
-                resp.with_set_cookie(&format!("PHPSESSID={id}; Path=/"))
+                resp.with_set_cookie(format!("PHPSESSID={id:032x}; Path=/"))
             }
         }
     }
@@ -677,6 +681,93 @@ mod tests {
             Request::post_form(url(), &[("proceed", "1")]).with_cookie_header("PHPSESSID=deadbeef");
         let resp = site.handle(&forged, &ctx("bot"));
         assert!(!PageSummary::from_html(&resp.body).has_login_form());
+    }
+
+    fn session_site() -> PhishingSite {
+        PhishingSite::new(
+            "victim.com",
+            Brand::Facebook,
+            GateConfig::simple(EvasionTechnique::SessionGate),
+            &rng(),
+        )
+    }
+
+    /// The `PHPSESSID=<id>` pair of a session-gate response.
+    fn planted_cookie(resp: &Response) -> String {
+        resp.set_cookies()[0].split(';').next().unwrap().to_string()
+    }
+
+    #[test]
+    fn session_cookies_match_golden_values() {
+        // The first three sessions at this seed. Recorded runs carry
+        // these cookies, so the draws behind an id and its text are
+        // fixed.
+        let mut site = session_site();
+        let cookies: Vec<String> = (0..3)
+            .map(|_| {
+                let resp = site.handle(&Request::get(url()), &ctx("bot"));
+                resp.set_cookies()[0].to_string()
+            })
+            .collect();
+        assert_eq!(
+            cookies,
+            [
+                "PHPSESSID=f92036eb43473c7d93c32fe0266d032b; Path=/",
+                "PHPSESSID=e8d25bb0d470cb345c46c3f136e2231d; Path=/",
+                "PHPSESSID=74cd310f31186f9acd0fa4428e834510; Path=/",
+            ]
+        );
+    }
+
+    #[test]
+    fn session_gate_passes_an_issued_id() {
+        let mut site = session_site();
+        let probe = site.probe();
+        let cookie = planted_cookie(&site.handle(&Request::get(url()), &ctx("human")));
+        // Revisiting the cover keeps the session: no new cookie.
+        let revisit = Request::get(url()).with_cookie_header(&cookie);
+        let resp = site.handle(&revisit, &ctx("human"));
+        assert!(resp.set_cookies().is_empty());
+        let proceed = Request::post_form(url(), &[("proceed", "1")])
+            .with_cookie_header(&format!("theme=dark; {cookie}"));
+        let resp = site.handle(&proceed, &ctx("human"));
+        assert!(PageSummary::from_html(&resp.body).has_login_form());
+        let notes: Vec<&str> = probe.records().iter().map(|r| r.note).collect();
+        assert_eq!(notes, ["session-new", "session-cover", "session-pass"]);
+    }
+
+    #[test]
+    fn session_gate_ignores_cookies_it_never_issued() {
+        let mut site = session_site();
+        let probe = site.probe();
+        let issued = planted_cookie(&site.handle(&Request::get(url()), &ctx("human")));
+        let hex = issued.strip_prefix("PHPSESSID=").unwrap().to_string();
+        let never_issued = "0123456789abcdef0123456789abcdef";
+        assert_ne!(hex, never_issued);
+        let forged = [
+            hex.to_ascii_uppercase(),
+            hex[..31].to_string(),
+            format!("{hex}0"),
+            format!("{}g", &hex[..31]),
+            format!("+{}", &hex[..31]),
+            never_issued.to_string(),
+        ];
+        for id in &forged {
+            let post = Request::post_form(url(), &[("proceed", "1")])
+                .with_cookie_header(&format!("PHPSESSID={id}"));
+            let resp = site.handle(&post, &ctx("bot"));
+            assert!(!PageSummary::from_html(&resp.body).has_login_form(), "{id}");
+            let fresh = planted_cookie(&resp);
+            assert_ne!(fresh, issued, "{id} gets a fresh session");
+            assert_ne!(fresh, format!("PHPSESSID={id}"));
+        }
+        assert!(!probe.payload_reached_by("bot"));
+        let new_sessions = probe
+            .records()
+            .iter()
+            .filter(|r| r.note == "session-new")
+            .count();
+        assert_eq!(new_sessions, 1 + forged.len());
     }
 
     #[test]

@@ -31,6 +31,8 @@
 //! * [`TraceLog`] — an append-only traffic log; the paper's server-side log
 //!   analysis (request bursts, kit probing, "90 % of traffic in the first
 //!   two hours") is reproduced by querying this log.
+//! * [`SymHasher`] — the FxHash-style hasher of the hot lookup tables
+//!   (access-log strings, resolver cache, registry, session ids).
 //! * [`metrics`] — counters, histograms and summary statistics used by the
 //!   experiment harness.
 //! * [`runner`] — the work-stealing parallel sweep runner shared by the
@@ -52,6 +54,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod hash;
 pub mod ip;
 pub mod link;
 pub mod metrics;
@@ -65,6 +68,7 @@ pub mod time;
 pub mod trace;
 
 pub use error::SimError;
+pub use hash::{BuildSymHasher, SymHasher};
 pub use ip::{IpPool, Ipv4Sim};
 pub use link::{
     FaultInjector, FaultOutcome, LatencyModel, Link, LinkConfig, OutageWindow,

@@ -8,13 +8,13 @@
 //! access log: every HTTP exchange appends a [`TraceEvent`], and the
 //! experiment harness answers its questions by querying the log.
 
+use crate::hash::BuildSymHasher;
 use crate::ip::Ipv4Sim;
 use crate::time::{SimDuration, SimTime};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// What kind of exchange a trace event records.
@@ -139,41 +139,6 @@ struct Entry {
 
 const _: () = assert!(std::mem::size_of::<Entry>() == 32);
 
-/// FxHash-style hasher for the symbol table, which hashes four short,
-/// trusted strings per logged request; SipHash's flooding resistance
-/// buys nothing there.
-#[derive(Default)]
-struct SymHasher(u64);
-
-impl SymHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for SymHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(buf));
-        }
-    }
-
-    fn write_u8(&mut self, byte: u8) {
-        self.add(u64::from(byte));
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// The log's storage: fixed-size entries over a string table. A paper
 /// run logs hundreds of thousands of requests but only ~170 distinct
 /// strings (hosts, paths, user agents, actors).
@@ -181,7 +146,7 @@ impl Hasher for SymHasher {
 struct Store {
     entries: Vec<Entry>,
     strings: Vec<Box<str>>,
-    symbols: HashMap<Box<str>, Sym, BuildHasherDefault<SymHasher>>,
+    symbols: HashMap<Box<str>, Sym, BuildSymHasher>,
 }
 
 impl Store {
@@ -203,15 +168,30 @@ impl Store {
         self.symbols.get(s).copied()
     }
 
+    /// The symbol of `s`, trying `prev` — the same field's symbol in
+    /// the previous entry — before hashing. Compared by content: a
+    /// caller may rewrite one buffer in place between appends.
+    fn intern_after(&mut self, prev: Option<Sym>, s: &str) -> Sym {
+        match prev {
+            Some(sym) if sym != NO_SYM && *self.strings[sym as usize] == *s => sym,
+            _ => self.intern(s),
+        }
+    }
+
     fn push(&mut self, event: TraceView<'_>) {
+        // A probe burst logs one host, agent and actor many times in a
+        // row, so most fields repeat the previous entry's.
+        let prev = self.entries.last().copied();
         let entry = Entry {
             at: event.at,
             src: event.src,
             kind: event.kind,
-            host: self.intern(event.host),
-            path: self.intern(event.path),
-            user_agent: event.user_agent.map_or(NO_SYM, |ua| self.intern(ua)),
-            actor: self.intern(event.actor),
+            host: self.intern_after(prev.map(|e| e.host), event.host),
+            path: self.intern_after(prev.map(|e| e.path), event.path),
+            user_agent: event.user_agent.map_or(NO_SYM, |ua| {
+                self.intern_after(prev.map(|e| e.user_agent), ua)
+            }),
+            actor: self.intern_after(prev.map(|e| e.actor), event.actor),
         };
         self.entries.push(entry);
     }
@@ -270,7 +250,9 @@ impl Store {
 ///
 /// Entries are stored as 32-byte records whose host, path, user agent
 /// and actor are symbols into a per-log string table, so appending a
-/// request copies no string the table already holds. Symbols are
+/// request copies no string the table already holds, and a field whose
+/// text equals the previous entry's reuses its symbol without being
+/// hashed. Symbols are
 /// assigned in first-seen order and never leave this module: no query
 /// result depends on them.
 ///

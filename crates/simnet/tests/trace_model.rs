@@ -7,6 +7,12 @@
 //! to answer identically: repeated and never-seen strings, absent user
 //! agents, non-request kinds, out-of-order and tied times, unknown
 //! actors and hosts, and a `clear` part-way through.
+//!
+//! The log reuses the previous entry's symbol for a field whose text
+//! repeats, so events come in runs that repeat fields of the one before,
+//! and borrowed appends pass their path in one buffer rewritten in
+//! place, as the engines' probe loop does: a memo that trusted the
+//! buffer's address instead of its text would log the wrong path.
 
 use phishsim_simnet::{Ipv4Sim, SimDuration, SimTime, TraceEvent, TraceKind, TraceLog, TraceView};
 use proptest::prelude::*;
@@ -66,13 +72,55 @@ fn event() -> impl Strategy<Value = (TraceEvent, bool)> {
         )
 }
 
-fn record(log: &TraceLog, model: &mut Vec<TraceEvent>, event: &TraceEvent, borrowed: bool) {
+/// Apply each event's repeat mask, making runs of repeated fields: bit
+/// `i` copies field `i` (host, path, user agent, actor) from the
+/// previous event.
+fn with_runs(raw: &[((TraceEvent, bool), u8)]) -> Vec<(TraceEvent, bool)> {
+    let mut out: Vec<(TraceEvent, bool)> = Vec::with_capacity(raw.len());
+    for ((event, borrowed), mask) in raw {
+        let mut event = event.clone();
+        if let Some((prev, _)) = out.last() {
+            if mask & 1 != 0 {
+                event.host = prev.host.clone();
+            }
+            if mask & 2 != 0 {
+                event.path = prev.path.clone();
+            }
+            if mask & 4 != 0 {
+                event.user_agent = prev.user_agent.clone();
+            }
+            if mask & 8 != 0 {
+                event.actor = prev.actor.clone();
+            }
+        }
+        out.push((event, *borrowed));
+    }
+    out
+}
+
+/// Append `event` to the log — a borrowed request passes its path in
+/// `path_buf`, rewritten in place — and to the model.
+fn record(
+    log: &TraceLog,
+    model: &mut Vec<TraceEvent>,
+    path_buf: &mut String,
+    event: &TraceEvent,
+    borrowed: bool,
+) {
     if borrowed && event.kind == TraceKind::HttpRequest {
+        let before = path_buf.as_ptr();
+        path_buf.clear();
+        path_buf.push_str(&event.path);
+        assert_eq!(
+            path_buf.as_ptr(),
+            before,
+            "the buffer is rewritten in place"
+        );
         log.record_request(
             event.at,
             event.src,
             &event.host,
-            &event.path,
+            path_buf,
             event.user_agent.as_deref(),
             &event.actor,
         );
@@ -202,20 +250,22 @@ proptest! {
     /// reference does, before and after a `clear`.
     #[test]
     fn interned_log_matches_reference(
-        before in proptest::collection::vec(event(), 0..60),
-        after in proptest::collection::vec(event(), 0..30),
+        before in proptest::collection::vec((event(), any::<u8>()), 0..60),
+        after in proptest::collection::vec((event(), any::<u8>()), 0..30),
     ) {
         let log = TraceLog::new();
         let mut model = Vec::new();
-        for (e, borrowed) in &before {
-            record(&log, &mut model, e, *borrowed);
+        // Longer than any generated path, so it never reallocates.
+        let mut path_buf = String::with_capacity(64);
+        for (e, borrowed) in &with_runs(&before) {
+            record(&log, &mut model, &mut path_buf, e, *borrowed);
         }
         check(&log, &model);
         log.clear();
         model.clear();
         check(&log, &model);
-        for (e, borrowed) in &after {
-            record(&log, &mut model, e, *borrowed);
+        for (e, borrowed) in &with_runs(&after) {
+            record(&log, &mut model, &mut path_buf, e, *borrowed);
         }
         check(&log, &model);
     }

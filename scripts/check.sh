@@ -7,7 +7,7 @@
 #
 #   ./scripts/check.sh                # everything (pre-merge gate)
 #   ./scripts/check.sh --tier1        # fmt + workspace clippy + build + tests (>= TEST_FLOOR pass)
-#   ./scripts/check.sh --determinism  # thread-count byte-identity smokes
+#   ./scripts/check.sh --determinism  # paper-volume tables vs HEAD + thread-count smokes
 #   ./scripts/check.sh --perf         # quick perf baseline + scaling smoke
 #   ./scripts/check.sh --replay       # verify committed .runpack artifacts
 #
@@ -18,6 +18,8 @@
 # and require its records and packs to be byte-identical. They run at
 # reduced sizes, so each smoke keeps what it wrote in
 # target/smoke-records/ and puts back the committed files it overwrote.
+# The paper tables and sb_scale_50m also run at full size, and their
+# records must equal the ones committed at HEAD.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,7 +47,7 @@ done
 # `cargo test` run every crate's unit tests, proptests and doctests plus
 # the root package's; raise the floor when adding tests, never lower it
 # to get a pass.
-TEST_FLOOR=797
+TEST_FLOOR=804
 
 # Where the determinism smokes leave their reduced-size records and
 # packs (CI uploads this directory).
@@ -132,6 +134,27 @@ perf() {
 }
 
 determinism() {
+  echo "==> paper-volume tables vs the committed records"
+  # The replay packs run at fast volume, so this is the check that runs
+  # the paper-volume probe path (735,732 requests for Table 1 + Table 2)
+  # against committed bytes: each bin at its default paper arguments
+  # must rewrite its records and packs byte for byte.
+  local paper_artifacts="results/table1.json results/table1.runpack
+    results/table2.json results/table2.runpack results/kit_probes.json
+    results/traffic_timing.json" f bin
+  stash $paper_artifacts
+  for bin in table1 table2 kit_probes traffic_timing; do
+    cargo run --release -p phishsim-bench --bin "$bin"
+  done
+  for f in $paper_artifacts; do
+    if ! git show "HEAD:$f" | cmp -s - "$f"; then
+      echo "paper-volume $f differs from the committed one" >&2
+      exit 1
+    fi
+  done
+  restore
+  echo "paper-volume table records and packs equal the committed ones"
+
   echo "==> sb_scale determinism smoke (10k clients, 1 vs 4 threads)"
   smoke sb_scale 1 4 "results/sb_scale.json results/sb_scale.runpack" \
     sb_scale -- --clients 10000
