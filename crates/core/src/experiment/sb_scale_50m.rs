@@ -24,8 +24,9 @@
 //!   host-dependent).
 //!
 //! Byte-identical for any `PHISHSIM_SWEEP_THREADS`: the feed timeline
-//! is built once, cohort construction merges batch maps in input
-//! order, and row walks merge weighted histograms commutatively.
+//! is built once, cohort construction fills one row map per thread
+//! range and sums them key by key into canonical key order, and row
+//! walks merge weighted histograms commutatively.
 
 use crate::experiment::main_experiment::run_main_experiment;
 use crate::experiment::sb_scale::{build_feed, delays_from_result, SbScaleConfig, TechniqueDelay};

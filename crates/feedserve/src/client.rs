@@ -133,8 +133,8 @@ impl FeedClient {
     /// regional mirror: `Some((tier, mirror))` fetches against the
     /// mirror's possibly stale captured version (and goes unanswered
     /// while the mirror is down), `None` talks to the origin directly.
-    /// This is the executable specification the weighted cohort walk
-    /// is pinned against.
+    /// This is the executable specification the population walk is
+    /// pinned against.
     pub fn sync_via(
         &mut self,
         server: &FeedServer,
@@ -144,20 +144,7 @@ impl FeedClient {
         self.counters.incr("client.syncs");
         self.obs.incr("feed.syncs");
         let fetch = |client_version: Option<u64>, last_fetch: Option<SimTime>| match tier {
-            Some((t, mirror)) => {
-                let mut counters = CounterSet::new();
-                let resp = t.fetch_weighted(
-                    server,
-                    mirror,
-                    client_version,
-                    last_fetch,
-                    now,
-                    1,
-                    &mut counters,
-                );
-                server.absorb_counters(&counters);
-                resp
-            }
+            Some((t, mirror)) => t.fetch(server, mirror, client_version, last_fetch, now),
             None => server.fetch_update(client_version, last_fetch, now),
         };
         let client_version = (self.version > 0).then_some(self.version);

@@ -27,10 +27,10 @@
 //! phase, aggressive)`), so it builds identically at any thread count
 //! and has a deterministic wire encoding ([`CohortTable::encode`]).
 
-use crate::population::{client_schedule, PopulationConfig};
+use crate::population::{client_forks, client_schedule, PopulationConfig};
 use crate::wire::{get_varint, get_varint_bool, get_varint_u32, put_varint, WireError};
 use phishsim_simnet::runner::run_sweep_with_threads;
-use phishsim_simnet::{DetRng, SimDuration};
+use phishsim_simnet::{BuildSymHasher, DetRng, SimDuration};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -187,19 +187,21 @@ impl CohortTable {
             .map(|start| (start, (start + per_range).min(cfg.clients)))
             .collect();
         type Key = (u32, u64, u64, bool);
-        let maps: Vec<HashMap<Key, u64>> = run_sweep_with_threads(&ranges, threads, |&(s, e)| {
-            let mut m: HashMap<Key, u64> = HashMap::new();
-            for idx in s..e {
-                let sched = client_schedule(cfg, min_wait, &root, idx);
-                let period_q = ((sched.period_ms / pq) * pq).max(1);
-                // Clamp below the representative period so the phase
-                // invariant (`phase < period`) survives quantization.
-                let phase_q = ((sched.phase_ms / fq) * fq).min(period_q - 1);
-                *m.entry((sched.mirror, period_q, phase_q, sched.aggressive))
-                    .or_insert(0) += 1;
-            }
-            m
-        });
+        let maps: Vec<HashMap<Key, u64, BuildSymHasher>> =
+            run_sweep_with_threads(&ranges, threads, |&(s, e)| {
+                let mut m: HashMap<Key, u64, BuildSymHasher> = HashMap::default();
+                let clients = client_forks(&root);
+                for idx in s..e {
+                    let sched = client_schedule(cfg, min_wait, &clients, idx);
+                    let period_q = ((sched.period_ms / pq) * pq).max(1);
+                    // Clamp below the representative period so the phase
+                    // invariant (`phase < period`) survives quantization.
+                    let phase_q = ((sched.phase_ms / fq) * fq).min(period_q - 1);
+                    *m.entry((sched.mirror, period_q, phase_q, sched.aggressive))
+                        .or_insert(0) += 1;
+                }
+                m
+            });
         let mut maps = maps.into_iter();
         let mut merged = maps.next().unwrap_or_default();
         for m in maps {

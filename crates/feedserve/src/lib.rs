@@ -54,6 +54,7 @@ pub mod mirror;
 pub mod population;
 pub mod server;
 pub mod store;
+mod tally;
 pub mod wire;
 
 pub use client::{FeedClient, FeedVerdict};

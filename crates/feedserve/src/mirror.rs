@@ -17,8 +17,8 @@
 //! down mirror go unanswered exactly like an origin outage, feeding
 //! the existing client backoff discipline.
 
-use crate::server::{FeedServer, UpdateResponse};
-use phishsim_simnet::metrics::CounterSet;
+use crate::server::{FeedServer, Serve, UpdateResponse};
+use crate::tally::{Counter, Tally};
 use phishsim_simnet::{SimDuration, SimTime, TierOutagePlan};
 use serde::{Deserialize, Serialize};
 
@@ -134,15 +134,16 @@ impl MirrorTier {
         self.completed_refreshes
     }
 
-    /// A client fetch routed through mirror `mirror` on behalf of
+    /// An update fetch routed through mirror `mirror` on behalf of
     /// `weight` identical clients. A down mirror answers nothing
     /// (counted as `update.unavailable`, same as an origin outage, so
     /// client backoff behaviour is tier-agnostic); otherwise the
-    /// origin's serving logic runs against the mirror's possibly stale
-    /// refreshed version. Serves that hand out an older version than
-    /// the origin currently holds are counted as `mirror.stale_serves`.
+    /// origin's serving decision runs against the mirror's possibly
+    /// stale refreshed version. Serves that hand out an older version
+    /// than the origin currently holds are counted as
+    /// `mirror.stale_serves`.
     #[allow(clippy::too_many_arguments)]
-    pub fn fetch_weighted(
+    pub(crate) fn serve(
         &self,
         server: &FeedServer,
         mirror: u32,
@@ -150,18 +151,42 @@ impl MirrorTier {
         last_fetch: Option<SimTime>,
         now: SimTime,
         weight: u64,
-        counters: &mut CounterSet,
-    ) -> UpdateResponse {
+        tally: &mut Tally,
+    ) -> Serve {
         if self.down_at(mirror, now) {
-            counters.add("update.unavailable", weight);
-            counters.add("mirror.unavailable", weight);
-            return UpdateResponse::Unavailable;
+            tally.add(Counter::UpdateUnavailable, weight);
+            tally.add(Counter::MirrorUnavailable, weight);
+            return Serve::Unavailable;
         }
         let target = self.version_at(mirror, now);
         if target < server.version_at(now) {
-            counters.add("mirror.stale_serves", weight);
+            tally.add(Counter::MirrorStaleServes, weight);
         }
-        server.fetch_update_via_version(client_version, last_fetch, now, target, weight, counters)
+        server.decide(client_version, last_fetch, now, target, weight, tally)
+    }
+
+    /// One client's update fetch through mirror `mirror`, counted
+    /// into the server's own counters.
+    pub fn fetch(
+        &self,
+        server: &FeedServer,
+        mirror: u32,
+        client_version: Option<u64>,
+        last_fetch: Option<SimTime>,
+        now: SimTime,
+    ) -> UpdateResponse {
+        let mut tally = Tally::default();
+        let serve = self.serve(
+            server,
+            mirror,
+            client_version,
+            last_fetch,
+            now,
+            1,
+            &mut tally,
+        );
+        server.absorb(&tally);
+        server.response(serve)
     }
 }
 
@@ -225,15 +250,32 @@ mod tests {
         assert_eq!(tier.version_at(0, SimTime::from_mins(26)), 2, "caught up");
         assert!(tier.skipped_refreshes() >= 3);
         // Yet the *mirror* stays answerable during the origin outage —
-        // clients just get the stale version.
-        let mut c = CounterSet::new();
-        let resp = tier.fetch_weighted(&server, 0, None, None, SimTime::from_mins(20), 7, &mut c);
-        let UpdateResponse::FullReset { version, .. } = resp else {
-            panic!("expected a (stale) full reset, got {resp:?}");
+        // clients just get the stale version. A cohort of seven counts
+        // seven times.
+        let mut tally = Tally::default();
+        let serve = tier.serve(
+            &server,
+            0,
+            None,
+            None,
+            SimTime::from_mins(20),
+            7,
+            &mut tally,
+        );
+        let Serve::FullReset { version, .. } = serve else {
+            panic!("expected a (stale) full reset, got {serve:?}");
         };
         assert_eq!(version, 1);
-        assert_eq!(c.get("update.full_reset"), 7);
-        assert_eq!(c.get("mirror.stale_serves"), 7);
+        assert_eq!(tally.get(Counter::UpdateFullReset), 7);
+        assert_eq!(tally.get(Counter::MirrorStaleServes), 7);
+        // A single client's fetch gets the same decision, with the
+        // stale store as its payload.
+        let resp = tier.fetch(&server, 0, None, None, SimTime::from_mins(20));
+        let UpdateResponse::FullReset { version, store, .. } = resp else {
+            panic!("expected a (stale) full reset, got {resp:?}");
+        };
+        assert_eq!((version, store.len()), (1, 0));
+        assert_eq!(server.counters().get("mirror.stale_serves"), 1);
     }
 
     #[test]
@@ -252,11 +294,22 @@ mod tests {
         };
         let tier = MirrorTier::build(&cfg, &server, SimTime::from_hours(1));
         // Mirror 0 is down: unavailable to clients, refreshes skipped.
-        let mut c = CounterSet::new();
-        let resp = tier.fetch_weighted(&server, 0, None, None, SimTime::from_mins(20), 3, &mut c);
+        let mut tally = Tally::default();
+        let serve = tier.serve(
+            &server,
+            0,
+            None,
+            None,
+            SimTime::from_mins(20),
+            3,
+            &mut tally,
+        );
+        assert_eq!(serve, Serve::Unavailable);
+        assert_eq!(tally.get(Counter::UpdateUnavailable), 3);
+        assert_eq!(tally.get(Counter::MirrorUnavailable), 3);
+        let resp = tier.fetch(&server, 0, None, None, SimTime::from_mins(20));
         assert!(matches!(resp, UpdateResponse::Unavailable));
-        assert_eq!(c.get("update.unavailable"), 3);
-        assert_eq!(c.get("mirror.unavailable"), 3);
+        assert_eq!(server.counters().get("mirror.unavailable"), 1);
         assert_eq!(tier.version_at(0, SimTime::from_mins(24)), 1);
         // Mirror 1 is unaffected.
         assert!(!tier.down_at(1, SimTime::from_mins(20)));
@@ -281,8 +334,7 @@ mod tests {
         let stale_m = (0..2)
             .find(|&m| tier.version_at(m, now) == 2)
             .expect("some mirror still stale");
-        let mut c = CounterSet::new();
-        let resp = tier.fetch_weighted(&server, stale_m, Some(3), None, now, 1, &mut c);
+        let resp = tier.fetch(&server, stale_m, Some(3), None, now);
         let UpdateResponse::UpToDate { version } = resp else {
             panic!("expected up-to-date, got {resp:?}");
         };

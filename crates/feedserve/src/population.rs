@@ -42,11 +42,12 @@
 use crate::client::FeedClient;
 use crate::cohort::{CohortSpec, CohortTable, COHORT_ROW_BYTES};
 use crate::mirror::{MirrorConfig, MirrorTier};
-use crate::server::{FeedServer, UpdateResponse};
+use crate::server::{FeedServer, Serve};
 use crate::store::prefix_of;
+use crate::tally::{Counter, Tally};
 use phishsim_simnet::metrics::CounterSet;
 use phishsim_simnet::runner::{run_sweep_with_threads, sweep_threads};
-use phishsim_simnet::{DetRng, SimDuration, SimTime};
+use phishsim_simnet::{DetRng, IndexedForks, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -187,16 +188,23 @@ pub(crate) struct ClientSchedule {
     pub rng: DetRng,
 }
 
-/// Derive client `idx`'s schedule — the single source both the exact
-/// walker and the cohort builder draw from, so the two modes can never
-/// disagree about who syncs when.
+/// The per-client streams: `clients.fork(i)` is client `i`'s
+/// `fork_indexed("feedserve-client", i)`.
+pub(crate) fn client_forks(root: &DetRng) -> IndexedForks<'_> {
+    root.indexed_forks("feedserve-client")
+}
+
+/// Derive client `idx`'s schedule from its stream in `clients`
+/// ([`client_forks`]) — the single source both the exact walker and
+/// the cohort builder draw from, so the two modes can never disagree
+/// about who syncs when.
 pub(crate) fn client_schedule(
     cfg: &PopulationConfig,
     min_wait: SimDuration,
-    root: &DetRng,
+    clients: &IndexedForks<'_>,
     idx: usize,
 ) -> ClientSchedule {
-    let mut rng = root.fork_indexed("feedserve-client", idx);
+    let mut rng = clients.fork(idx);
     let base = cfg.base_period.as_millis();
     let jitter_ms = cfg.period_jitter.as_millis();
     let offset = if jitter_ms > 0 {
@@ -255,7 +263,7 @@ struct BatchOut {
     protected: Vec<BTreeMap<u64, u64>>,
     /// Per event: clients still unprotected at the horizon.
     unprotected: Vec<u64>,
-    counters: CounterSet,
+    tally: Tally,
     fetches: u64,
 }
 
@@ -264,7 +272,7 @@ impl BatchOut {
         BatchOut {
             protected: vec![BTreeMap::new(); events],
             unprotected: vec![0; events],
-            counters: CounterSet::new(),
+            tally: Tally::default(),
             fetches: 0,
         }
     }
@@ -292,37 +300,33 @@ fn walk_schedule(
         // With feed_loss == 0.0 this consumes no RNG draws.
         if let Some(rng) = p.feed_rng.as_deref_mut() {
             if rng.chance(ctx.cfg.feed_loss) {
-                out.counters.incr("update.lost");
+                out.tally.add(Counter::UpdateLost, 1);
                 streak = streak.saturating_add(1);
                 t += FeedClient::outage_backoff(streak, period);
                 continue;
             }
         }
         let client_version = (version > 0).then_some(version);
-        let resp = match ctx.tier {
-            Some(tier) => tier.fetch_weighted(
+        let serve = match ctx.tier {
+            Some(tier) => tier.serve(
                 ctx.server,
                 p.mirror,
                 client_version,
                 last_fetch,
                 t,
                 p.weight,
-                &mut out.counters,
+                &mut out.tally,
             ),
-            None => ctx.server.fetch_update_weighted(
-                client_version,
-                last_fetch,
-                t,
-                p.weight,
-                &mut out.counters,
-            ),
+            None => ctx
+                .server
+                .serve(client_version, last_fetch, t, p.weight, &mut out.tally),
         };
-        match resp {
-            UpdateResponse::Backoff { retry_after } => {
+        match serve {
+            Serve::Backoff { retry_after } => {
                 t += retry_after;
                 continue;
             }
-            UpdateResponse::Unavailable => {
+            Serve::Unavailable => {
                 // The serving tier already counted the refusal; the
                 // client keeps its stale version and retries.
                 streak = streak.saturating_add(1);
@@ -345,12 +349,13 @@ fn walk_schedule(
                     if version >= *v {
                         protected_at[e] = Some(t);
                         // The user's next visit now prefix-hits and
-                        // resolves through a full-hash lookup.
-                        ctx.server.full_hashes_weighted(
+                        // resolves through a full-hash lookup; only
+                        // its counts matter here.
+                        ctx.server.lookup_full_hashes(
                             prefix_of(ctx.events[e].full_hash),
                             t,
                             p.weight,
-                            &mut out.counters,
+                            &mut out.tally,
                         );
                     }
                 }
@@ -389,8 +394,9 @@ fn record_outcome(
 fn walk_batch(ctx: &WalkCtx<'_>, root: &DetRng, start: usize, end: usize) -> BatchOut {
     let mut out = BatchOut::new(ctx.events.len());
     let mut protected_at: Vec<Option<SimTime>> = Vec::with_capacity(ctx.events.len());
+    let clients = client_forks(root);
     for idx in start..end {
-        let mut sched = client_schedule(ctx.cfg, ctx.min_wait, root, idx);
+        let mut sched = client_schedule(ctx.cfg, ctx.min_wait, &clients, idx);
         walk_schedule(
             ctx,
             WalkParams {
@@ -511,7 +517,7 @@ pub fn run_population_with_threads(
     // both order-fixed, so the report does not depend on scheduling.
     let mut protected: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); events.len()];
     let mut unprotected = vec![0u64; events.len()];
-    let mut counters = CounterSet::new();
+    let mut tally = Tally::default();
     let mut fetches = 0u64;
     for out in outs {
         for (acc, part) in protected.iter_mut().zip(&out.protected) {
@@ -522,9 +528,11 @@ pub fn run_population_with_threads(
         for (acc, part) in unprotected.iter_mut().zip(&out.unprotected) {
             *acc += part;
         }
-        counters.merge(&out.counters);
+        tally.merge(&out.tally);
         fetches += out.fetches;
     }
+    let mut counters = CounterSet::new();
+    tally.add_to(&mut counters);
     if let Some(tier) = &tier {
         counters.add("mirror.refreshes", tier.completed_refreshes());
         counters.add("mirror.refreshes_skipped", tier.skipped_refreshes());

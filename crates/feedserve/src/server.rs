@@ -8,15 +8,22 @@
 //! between a client's update fetches, and serves full-hash lookups
 //! with positive/negative cache TTLs. Every served response is
 //! instrumented through a [`CounterSet`].
+//!
+//! One function decides every serve, `FeedServer::decide`. It returns
+//! a `Serve`, which carries no payload, and counts into a typed
+//! `Tally`. The population walk needs nothing more: it takes no lock,
+//! looks up no counter by string, clones no `Arc` and allocates nothing
+//! per exchange. The client-facing calls build their payloads from the
+//! same decision.
 
 use crate::diff::PrefixDiff;
 use crate::store::{prefix_of, PrefixStore};
-use parking_lot::{Mutex, RwLock};
+use crate::tally::{Counter, Tally};
+use parking_lot::Mutex;
 use phishsim_simnet::metrics::CounterSet;
 use phishsim_simnet::{ObsSink, OutageWindow, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -45,17 +52,25 @@ impl Default for ServerConfig {
     }
 }
 
+/// A diff with its wire-encoded size.
+type CachedDiff = (Arc<PrefixDiff>, usize);
+
 /// One published version.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct VersionEntry {
     version: u64,
     published_at: SimTime,
     store: Arc<PrefixStore>,
     /// Sorted full hashes backing the store (full-hash lookups range-
     /// scan this by prefix).
-    full_hashes: Arc<Vec<u64>>,
+    full_hashes: Vec<u64>,
     /// Cached wire size of a full reset at this version.
     encoded_len: usize,
+    /// The diffs into this version, computed on first use and shared
+    /// by every client that asks: slot `lag - 1` holds the diff from
+    /// `version - lag`. There is one slot per version a diff may start
+    /// from, `min(history_window, version - 1)` in all.
+    diffs: Box<[OnceLock<CachedDiff>]>,
 }
 
 /// What an update fetch returned.
@@ -107,6 +122,38 @@ impl UpdateResponse {
     }
 }
 
+/// One serving decision, without its payload.
+/// [`FeedServer::response`] turns it into the [`UpdateResponse`] a
+/// client applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Serve {
+    /// The serving edge is down: no answer.
+    Unavailable,
+    /// Inside the minimum wait: retry after this long.
+    Backoff { retry_after: SimDuration },
+    /// The client already holds the serving version, or a newer one.
+    UpToDate { version: u64 },
+    /// An incremental diff `from → to`.
+    Diff {
+        from: u64,
+        to: u64,
+        wire_bytes: usize,
+    },
+    /// A full snapshot of `version`.
+    FullReset { version: u64, wire_bytes: usize },
+}
+
+impl Serve {
+    /// The version the client holds after this serve, if it changed.
+    pub(crate) fn new_version(self) -> Option<u64> {
+        match self {
+            Serve::Diff { to, .. } => Some(to),
+            Serve::FullReset { version, .. } => Some(version),
+            Serve::Unavailable | Serve::Backoff { .. } | Serve::UpToDate { .. } => None,
+        }
+    }
+}
+
 /// A full-hash lookup answer.
 #[derive(Debug, Clone)]
 pub struct FullHashResponse {
@@ -130,10 +177,6 @@ impl FullHashResponse {
     }
 }
 
-/// Memoized diffs keyed by `(from, to)` version pair, each with its
-/// wire-encoded size.
-type DiffCache = HashMap<(u64, u64), (Arc<PrefixDiff>, usize)>;
-
 /// The versioned blacklist-distribution server.
 #[derive(Debug)]
 pub struct FeedServer {
@@ -142,9 +185,6 @@ pub struct FeedServer {
     /// published empty at `SimTime::ZERO`, so every instant has a
     /// visible version.
     entries: Vec<VersionEntry>,
-    /// Diffs computed once and shared across all clients asking for
-    /// the same `(from, to)` pair.
-    diff_cache: RwLock<DiffCache>,
     /// Scheduled downtime: inside any of these windows every request
     /// (update fetch or full-hash lookup) goes unanswered.
     outages: Vec<OutageWindow>,
@@ -165,10 +205,10 @@ impl FeedServer {
                 version: 1,
                 published_at: SimTime::ZERO,
                 store: empty,
-                full_hashes: Arc::new(Vec::new()),
+                full_hashes: Vec::new(),
                 encoded_len,
+                diffs: Box::new([]),
             }],
-            diff_cache: RwLock::new(HashMap::new()),
             outages: Vec::new(),
             counters: Mutex::new(CounterSet::new()),
             obs: ObsSink::Null,
@@ -216,12 +256,14 @@ impl FeedServer {
         let store = Arc::new(PrefixStore::from_hashes(full.iter().copied()));
         let version = last.version + 1;
         let encoded_len = store.encoded_len();
+        let diff_slots = (version - 1).min(self.cfg.history_window) as usize;
         self.entries.push(VersionEntry {
             version,
             published_at: at,
             store,
-            full_hashes: Arc::new(full),
+            full_hashes: full,
             encoded_len,
+            diffs: (0..diff_slots).map(|_| OnceLock::new()).collect(),
         });
         version
     }
@@ -277,85 +319,54 @@ impl FeedServer {
         last_fetch: Option<SimTime>,
         now: SimTime,
     ) -> UpdateResponse {
-        let mut counters = self.counters.lock();
-        self.fetch_update_counted(client_version, last_fetch, now, &mut counters)
+        let mut tally = Tally::default();
+        let serve = self.serve(client_version, last_fetch, now, 1, &mut tally);
+        self.absorb(&tally);
+        self.response(serve)
     }
 
-    /// Handle an update fetch, counting into a caller-owned
-    /// [`CounterSet`]. The population simulator uses this so worker
-    /// threads accumulate locally and merge deterministically instead
-    /// of contending on the server's mutex.
-    pub fn fetch_update_counted(
-        &self,
-        client_version: Option<u64>,
-        last_fetch: Option<SimTime>,
-        now: SimTime,
-        counters: &mut CounterSet,
-    ) -> UpdateResponse {
-        self.fetch_update_weighted(client_version, last_fetch, now, 1, counters)
-    }
-
-    /// Handle an update fetch on behalf of `weight` identical clients:
-    /// the protocol decision is made once and every counter (including
-    /// the byte accounting) is incremented by `weight`. The cohort
-    /// population walk collapses a whole cohort's sync round into one
-    /// weighted exchange this way.
-    pub fn fetch_update_weighted(
+    /// An update fetch at the origin on behalf of `weight` identical
+    /// clients: refused inside an outage window, else decided against
+    /// the version visible at `now`.
+    pub(crate) fn serve(
         &self,
         client_version: Option<u64>,
         last_fetch: Option<SimTime>,
         now: SimTime,
         weight: u64,
-        counters: &mut CounterSet,
-    ) -> UpdateResponse {
+        tally: &mut Tally,
+    ) -> Serve {
         if self.down_at(now) {
-            counters.add("update.unavailable", weight);
+            tally.add(Counter::UpdateUnavailable, weight);
             self.obs.add("feedsrv.unavailable", weight);
-            return UpdateResponse::Unavailable;
+            return Serve::Unavailable;
         }
-        let current = self.visible_entry(now);
-        self.serve_update(client_version, last_fetch, now, current, weight, counters)
+        let target = self.version_at(now);
+        self.decide(client_version, last_fetch, now, target, weight, tally)
     }
 
-    /// Serve an update *toward* an explicit `target_version` instead of
-    /// the newest version visible at `now` — the mirror tier serves the
-    /// (possibly stale) origin version it last refreshed to. Origin
-    /// outage windows are deliberately not consulted: the caller (the
-    /// mirror) owns availability at its own tier, while origin outages
-    /// gate the mirror's *refreshes*.
-    pub fn fetch_update_via_version(
+    /// The serving decision, toward the published version `target`:
+    /// a backoff inside the minimum wait, else up-to-date, a diff, or
+    /// a full reset. It counts on behalf of `weight` identical clients,
+    /// byte totals included, and mirrors the mix into the obs sink.
+    /// Outages are the caller's to check: the origin refuses inside
+    /// its own windows ([`FeedServer::serve`]), a mirror inside its
+    /// tier's, where it serves the origin version it last refreshed to.
+    pub(crate) fn decide(
         &self,
         client_version: Option<u64>,
         last_fetch: Option<SimTime>,
         now: SimTime,
-        target_version: u64,
+        target: u64,
         weight: u64,
-        counters: &mut CounterSet,
-    ) -> UpdateResponse {
-        let target = self
-            .entry(target_version)
-            .expect("mirror refreshed to a published version");
-        self.serve_update(client_version, last_fetch, now, target, weight, counters)
-    }
-
-    /// The shared serving decision: backoff inside the minimum wait,
-    /// up-to-date / diff / full-reset against `target`, all counters
-    /// weighted by `weight`.
-    fn serve_update(
-        &self,
-        client_version: Option<u64>,
-        last_fetch: Option<SimTime>,
-        now: SimTime,
-        target: &VersionEntry,
-        weight: u64,
-        counters: &mut CounterSet,
-    ) -> UpdateResponse {
+        tally: &mut Tally,
+    ) -> Serve {
         if let Some(lf) = last_fetch {
             let elapsed = now.since(lf);
             if elapsed < self.cfg.min_wait {
-                counters.add("update.backoff", weight);
+                tally.add(Counter::UpdateBackoff, weight);
                 self.obs.add("feedsrv.backoff", weight);
-                return UpdateResponse::Backoff {
+                return Serve::Backoff {
                     retry_after: SimDuration::from_millis(
                         self.cfg.min_wait.as_millis() - elapsed.as_millis(),
                     ),
@@ -365,117 +376,93 @@ impl FeedServer {
         match client_version {
             // A client already at (or, through a fresher mirror, past)
             // the serving version has nothing to download.
-            Some(v) if v >= target.version => {
-                counters.add("update.up_to_date", weight);
+            Some(v) if v >= target => {
+                tally.add(Counter::UpdateUpToDate, weight);
                 self.obs.add("feedsrv.up_to_date", weight);
-                UpdateResponse::UpToDate { version: v }
+                return Serve::UpToDate { version: v };
             }
-            Some(v) if target.version - v <= self.cfg.history_window && self.entry(v).is_some() => {
-                let (diff, wire_bytes) = self.diff_between(v, target.version);
-                counters.add("update.diff", weight);
-                counters.add("bytes.diff", (wire_bytes as u64).saturating_mul(weight));
-                self.obs.add("feedsrv.diff", weight);
-                self.obs.observe("feedsrv.diff_bytes", wire_bytes as u64);
-                UpdateResponse::Diff { diff, wire_bytes }
-            }
-            _ => {
-                counters.add("update.full_reset", weight);
-                counters.add(
-                    "bytes.full_reset",
-                    (target.encoded_len as u64).saturating_mul(weight),
-                );
-                self.obs.add("feedsrv.full_reset", weight);
-                self.obs
-                    .observe("feedsrv.reset_bytes", target.encoded_len as u64);
-                UpdateResponse::FullReset {
-                    version: target.version,
-                    store: Arc::clone(&target.store),
-                    wire_bytes: target.encoded_len,
+            Some(v) => {
+                if let Some(&(_, wire_bytes)) = self.cached_diff(v, target) {
+                    tally.add(Counter::UpdateDiff, weight);
+                    tally.add(
+                        Counter::BytesDiff,
+                        (wire_bytes as u64).saturating_mul(weight),
+                    );
+                    self.obs.add("feedsrv.diff", weight);
+                    self.obs.observe("feedsrv.diff_bytes", wire_bytes as u64);
+                    return Serve::Diff {
+                        from: v,
+                        to: target,
+                        wire_bytes,
+                    };
                 }
             }
+            None => {}
+        }
+        let wire_bytes = self
+            .entry(target)
+            .expect("serving a published version")
+            .encoded_len;
+        tally.add(Counter::UpdateFullReset, weight);
+        tally.add(
+            Counter::BytesFullReset,
+            (wire_bytes as u64).saturating_mul(weight),
+        );
+        self.obs.add("feedsrv.full_reset", weight);
+        self.obs.observe("feedsrv.reset_bytes", wire_bytes as u64);
+        Serve::FullReset {
+            version: target,
+            wire_bytes,
         }
     }
 
-    fn diff_between(&self, from: u64, to: u64) -> (Arc<PrefixDiff>, usize) {
-        if let Some(hit) = self.diff_cache.read().get(&(from, to)) {
-            return hit.clone();
+    /// The diff `from → to`, if `from` is inside `to`'s history window
+    /// (`1 <= to - from <= history_window`), computed on first use.
+    fn cached_diff(&self, from: u64, to: u64) -> Option<&CachedDiff> {
+        let to_entry = self.entry(to)?;
+        let lag = usize::try_from(to.checked_sub(from)?).ok()?;
+        let slot = to_entry.diffs.get(lag.checked_sub(1)?)?;
+        Some(slot.get_or_init(|| {
+            let from_entry = self.entry(from).expect("a slot's source is published");
+            let diff = PrefixDiff::between(&from_entry.store, &to_entry.store, from, to);
+            let bytes = diff.encoded_len();
+            (Arc::new(diff), bytes)
+        }))
+    }
+
+    /// The payload of a serving decision, as a client receives it.
+    pub(crate) fn response(&self, serve: Serve) -> UpdateResponse {
+        match serve {
+            Serve::Unavailable => UpdateResponse::Unavailable,
+            Serve::Backoff { retry_after } => UpdateResponse::Backoff { retry_after },
+            Serve::UpToDate { version } => UpdateResponse::UpToDate { version },
+            Serve::Diff {
+                from,
+                to,
+                wire_bytes,
+            } => UpdateResponse::Diff {
+                diff: Arc::clone(&self.cached_diff(from, to).expect("decided in the window").0),
+                wire_bytes,
+            },
+            Serve::FullReset {
+                version,
+                wire_bytes,
+            } => UpdateResponse::FullReset {
+                version,
+                store: self
+                    .store_at(version)
+                    .expect("decided on a published version"),
+                wire_bytes,
+            },
         }
-        let from_entry = self.entry(from).expect("caller checked");
-        let to_entry = self.entry(to).expect("caller checked");
-        let diff = Arc::new(PrefixDiff::between(
-            &from_entry.store,
-            &to_entry.store,
-            from,
-            to,
-        ));
-        let bytes = diff.encoded_len();
-        let mut cache = self.diff_cache.write();
-        cache.entry((from, to)).or_insert((diff, bytes)).clone()
     }
 
     /// Answer a full-hash lookup as of `now`, counting into the
     /// server's own counters.
     pub fn full_hashes(&self, prefix: u32, now: SimTime) -> FullHashResponse {
-        let mut counters = self.counters.lock();
-        self.full_hashes_counted(prefix, now, &mut counters)
-    }
-
-    /// Outage-aware full-hash lookup: `None` while the serving edge is
-    /// down (the client must fall back on whatever it has cached).
-    pub fn try_full_hashes(&self, prefix: u32, now: SimTime) -> Option<FullHashResponse> {
-        let mut counters = self.counters.lock();
-        self.try_full_hashes_counted(prefix, now, &mut counters)
-    }
-
-    /// Outage-aware full-hash lookup against a caller-owned counter
-    /// set.
-    pub fn try_full_hashes_counted(
-        &self,
-        prefix: u32,
-        now: SimTime,
-        counters: &mut CounterSet,
-    ) -> Option<FullHashResponse> {
-        if self.down_at(now) {
-            counters.incr("fullhash.unavailable");
-            self.obs.incr("feedsrv.fullhash_unavailable");
-            return None;
-        }
-        Some(self.full_hashes_counted(prefix, now, counters))
-    }
-
-    /// Answer a full-hash lookup, counting into a caller-owned set.
-    pub fn full_hashes_counted(
-        &self,
-        prefix: u32,
-        now: SimTime,
-        counters: &mut CounterSet,
-    ) -> FullHashResponse {
-        self.full_hashes_weighted(prefix, now, 1, counters)
-    }
-
-    /// Answer a full-hash lookup on behalf of `weight` identical
-    /// clients (the cohort walk's protection-confirmation round).
-    pub fn full_hashes_weighted(
-        &self,
-        prefix: u32,
-        now: SimTime,
-        weight: u64,
-        counters: &mut CounterSet,
-    ) -> FullHashResponse {
-        counters.add("fullhash.lookups", weight);
-        self.obs.add("feedsrv.fullhash_lookups", weight);
-        let entry = self.visible_entry(now);
-        let full = &entry.full_hashes;
-        let lo = u64::from(prefix) << 32;
-        let start = full.partition_point(|&h| h < lo);
-        let hashes: Vec<u64> = full[start..]
-            .iter()
-            .copied()
-            .take_while(|&h| prefix_of(h) == prefix)
-            .collect();
-        if hashes.is_empty() {
-            counters.add("fullhash.negative", weight);
-        }
+        let mut tally = Tally::default();
+        let hashes = self.lookup_full_hashes(prefix, now, 1, &mut tally).to_vec();
+        self.absorb(&tally);
         FullHashResponse {
             hashes,
             positive_ttl: self.cfg.positive_ttl,
@@ -483,15 +470,54 @@ impl FeedServer {
         }
     }
 
+    /// Outage-aware full-hash lookup: `None` while the serving edge is
+    /// down (the client must fall back on whatever it has cached).
+    pub fn try_full_hashes(&self, prefix: u32, now: SimTime) -> Option<FullHashResponse> {
+        if self.down_at(now) {
+            self.counters.lock().incr("fullhash.unavailable");
+            self.obs.incr("feedsrv.fullhash_unavailable");
+            return None;
+        }
+        Some(self.full_hashes(prefix, now))
+    }
+
+    /// The full hashes under `prefix` in the version visible at `now`,
+    /// as a slice of that version's sorted hashes. Counts the lookup,
+    /// and a negative answer if there is one, on behalf of `weight`
+    /// identical clients.
+    pub(crate) fn lookup_full_hashes(
+        &self,
+        prefix: u32,
+        now: SimTime,
+        weight: u64,
+        tally: &mut Tally,
+    ) -> &[u64] {
+        tally.add(Counter::FullhashLookups, weight);
+        self.obs.add("feedsrv.fullhash_lookups", weight);
+        let full = &self.visible_entry(now).full_hashes;
+        let start = full.partition_point(|&h| h < u64::from(prefix) << 32);
+        let len = full[start..].partition_point(|&h| prefix_of(h) == prefix);
+        if len == 0 {
+            tally.add(Counter::FullhashNegative, weight);
+        }
+        &full[start..start + len]
+    }
+
     /// Snapshot of the server's counters.
     pub fn counters(&self) -> CounterSet {
         self.counters.lock().clone()
     }
 
-    /// Fold a caller-accumulated counter set (from
-    /// [`FeedServer::fetch_update_counted`] et al.) into the server's.
+    /// Fold a caller-accumulated counter set (a population walk's
+    /// merged counters) into the server's.
     pub fn absorb_counters(&self, other: &CounterSet) {
         self.counters.lock().merge(other);
+    }
+
+    /// Fold one client-facing exchange's tally into the server's
+    /// counters.
+    pub(crate) fn absorb(&self, tally: &Tally) {
+        tally.add_to(&mut self.counters.lock());
     }
 
     /// Deterministic JSON state snapshot (the runpack `seek` hook):

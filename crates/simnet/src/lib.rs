@@ -80,7 +80,7 @@ pub use obs::{
 };
 pub use replay::{OpenSpan, ReplayClock};
 pub use retry::RetryPolicy;
-pub use rng::DetRng;
+pub use rng::{DetRng, IndexedForks};
 pub use sched::{EventId, Scheduler};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceKind, TraceLog, TraceView};

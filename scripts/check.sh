@@ -7,7 +7,7 @@
 #
 #   ./scripts/check.sh                # everything (pre-merge gate)
 #   ./scripts/check.sh --tier1        # fmt + workspace clippy + build + tests (>= TEST_FLOOR pass)
-#   ./scripts/check.sh --determinism  # paper-volume tables vs HEAD + thread-count smokes
+#   ./scripts/check.sh --determinism  # full-size records vs HEAD + thread-count smokes
 #   ./scripts/check.sh --perf         # quick perf baseline + scaling smoke
 #   ./scripts/check.sh --replay       # verify committed .runpack artifacts
 #
@@ -18,8 +18,8 @@
 # and require its records and packs to be byte-identical. They run at
 # reduced sizes, so each smoke keeps what it wrote in
 # target/smoke-records/ and puts back the committed files it overwrote.
-# The paper tables and sb_scale_50m also run at full size, and their
-# records must equal the ones committed at HEAD.
+# The paper tables, sb_scale, resilience and sb_scale_50m also run at
+# full size, and their records must equal the ones committed at HEAD.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,7 +47,7 @@ done
 # `cargo test` run every crate's unit tests, proptests and doctests plus
 # the root package's; raise the floor when adding tests, never lower it
 # to get a pass.
-TEST_FLOOR=804
+TEST_FLOOR=809
 
 # Where the determinism smokes leave their reduced-size records and
 # packs (CI uploads this directory).
@@ -133,27 +133,45 @@ perf() {
   echo "BENCH_4.json present (host_parallelism: $(grep -o '"host_parallelism": *[0-9]*' results/BENCH_4.json | grep -o '[0-9]*$'), $(nproc) per nproc)"
 }
 
+# Run bins at their default arguments, require every artifact they
+# rewrite to equal the one committed at HEAD, and put the committed
+# files back: against_head WHAT "ARTIFACTS" BIN...
+against_head() {
+  local what="$1" artifacts="$2" f bin
+  shift 2
+  stash $artifacts
+  for bin in "$@"; do
+    cargo run --release -p phishsim-bench --bin "$bin"
+  done
+  for f in $artifacts; do
+    if ! git show "HEAD:$f" | cmp -s - "$f"; then
+      echo "$what $f differs from the committed one" >&2
+      exit 1
+    fi
+  done
+  restore
+  echo "$what records and packs equal the committed ones"
+}
+
 determinism() {
   echo "==> paper-volume tables vs the committed records"
   # The replay packs run at fast volume, so this is the check that runs
   # the paper-volume probe path (735,732 requests for Table 1 + Table 2)
   # against committed bytes: each bin at its default paper arguments
   # must rewrite its records and packs byte for byte.
-  local paper_artifacts="results/table1.json results/table1.runpack
+  against_head paper-volume "results/table1.json results/table1.runpack
     results/table2.json results/table2.runpack results/kit_probes.json
-    results/traffic_timing.json" f bin
-  stash $paper_artifacts
-  for bin in table1 table2 kit_probes traffic_timing; do
-    cargo run --release -p phishsim-bench --bin "$bin"
-  done
-  for f in $paper_artifacts; do
-    if ! git show "HEAD:$f" | cmp -s - "$f"; then
-      echo "paper-volume $f differs from the committed one" >&2
-      exit 1
-    fi
-  done
-  restore
-  echo "paper-volume table records and packs equal the committed ones"
+    results/traffic_timing.json" table1 table2 kit_probes traffic_timing
+
+  echo "==> sb_scale and resilience at default size vs the committed records"
+  # The smokes below run both sweeps at reduced size, one thread count
+  # against another. At their defaults (1M clients; 200k per chaos
+  # level) they must rewrite the committed bytes. resilience is the
+  # only record with feed loss and origin outages, so this is the one
+  # full-size check of the exact walk's feed-loss draws and of the
+  # exchanges a down server refuses.
+  against_head default-size "results/sb_scale.json results/sb_scale.runpack
+    results/resilience.json" sb_scale resilience
 
   echo "==> sb_scale determinism smoke (10k clients, 1 vs 4 threads)"
   smoke sb_scale 1 4 "results/sb_scale.json results/sb_scale.runpack" \
@@ -172,7 +190,7 @@ determinism() {
 
   echo "==> sb_scale_50m full scale (1M/10M/50M, 2 threads) vs the committed record"
   # The committed record comes from a full one-thread run; a full run
-  # on two threads (~18 s, ~187 MB peak on a 2-vCPU host) must
+  # on two threads (~13 s, ~187 MB peak on a 2-vCPU host) must
   # reproduce it byte for byte. The thread count is pinned because the
   # table build holds one row map per thread, so peak RSS (guarded by
   # the bin) grows on hosts with many cores.

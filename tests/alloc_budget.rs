@@ -16,13 +16,14 @@
 //! sites nobody requests or stepping the monitor's poll ticks one by
 //! one.
 //!
-//! The feed tests bound the cohort path: a cohort-table build must not
-//! allocate per client (no map per batch of clients, no formatted fork
-//! label per client), and a cohort walk must allocate a bounded amount
-//! per row (no key string per counter bump). Both run on one thread,
-//! so the sweep runner calls them inline on the counting thread. The
-//! counts are deterministic (same seed, same calls), so the bounds
-//! cannot flake.
+//! The feed tests bound the population walks: a cohort-table build must
+//! not allocate per client (no map per batch of clients, no formatted
+//! fork label per client), a cohort walk must allocate a bounded amount
+//! per row (no key string per counter bump), and an exact walk must not
+//! allocate per sync (no list of matching full hashes per protecting
+//! sync). All run on one thread, so the sweep runner calls them inline
+//! on the counting thread. The counts are deterministic (same seed,
+//! same calls), so the bounds cannot flake.
 
 use phishsim::experiment::{run_main_experiment, MainConfig};
 use phishsim::feedserve::{
@@ -49,8 +50,14 @@ const FAST_RUN_BUDGET: u64 = 50_000;
 /// Allocations allowed for one cohort-table build, at any population.
 const TABLE_BUILD_BUDGET: u64 = 64;
 
-/// Allocations allowed per cohort row of a cohort walk.
-const WALK_BUDGET_PER_ROW: f64 = 5.0;
+/// Allocations allowed per cohort row of a cohort walk, table build
+/// included (0.19 measured: the exposure histograms' nodes and the
+/// per-batch buffers).
+const WALK_BUDGET_PER_ROW: f64 = 0.25;
+
+/// Allocations allowed per client of an exact walk (0.56 measured, the
+/// same kinds; a full-hash list per protecting sync made it 2.56).
+const EXACT_WALK_BUDGET_PER_CLIENT: f64 = 0.7;
 
 struct Counting;
 
@@ -185,8 +192,9 @@ fn cohort_table_build_does_not_allocate_per_client() {
     }
 }
 
-#[test]
-fn cohort_walk_stays_within_the_per_row_budget() {
+/// A feed with two listings, at minutes 60 and 150: every client that
+/// syncs after both is protected twice.
+fn two_listings() -> (FeedServer, Vec<ListingEvent>) {
     let h = |i: u64| (i << 33) | 0x5151;
     let mut server = FeedServer::new(ServerConfig::default());
     server.publish((0..50).map(h), SimTime::from_mins(5));
@@ -200,6 +208,12 @@ fn cohort_walk_stays_within_the_per_row_budget() {
             listed_at: SimTime::from_mins(mins),
         })
         .collect();
+    (server, events)
+}
+
+#[test]
+fn cohort_walk_stays_within_the_per_row_budget() {
+    let (server, events) = two_listings();
     let cfg = cohort_population(20_000);
     let before = ALLOCS.with(Cell::get);
     let report = run_population_with_threads(&cfg, &server, &events, 1);
@@ -210,5 +224,30 @@ fn cohort_walk_stays_within_the_per_row_budget() {
     assert!(
         per_row <= WALK_BUDGET_PER_ROW,
         "{per_row:.2} allocations per cohort row, budget {WALK_BUDGET_PER_ROW}"
+    );
+}
+
+#[test]
+fn exact_walk_does_not_allocate_per_sync() {
+    let (server, events) = two_listings();
+    let clients = 5_000;
+    let cfg = PopulationConfig {
+        cohorts: None,
+        ..cohort_population(clients)
+    };
+    let before = ALLOCS.with(Cell::get);
+    let report = run_population_with_threads(&cfg, &server, &events, 1);
+    let allocs = ALLOCS.with(Cell::get) - before;
+    let protected: usize = report.events.iter().map(|e| e.protected).sum();
+    assert!(protected > clients, "most clients must be protected twice");
+    let per_client = allocs as f64 / clients as f64;
+    eprintln!(
+        "exact walk over {clients} clients ({protected} protections): \
+         {allocs} allocations, {per_client:.2} per client"
+    );
+    assert!(
+        per_client <= EXACT_WALK_BUDGET_PER_CLIENT,
+        "{per_client:.2} allocations per client of an exact walk, \
+         budget {EXACT_WALK_BUDGET_PER_CLIENT}"
     );
 }
