@@ -19,7 +19,7 @@ use crate::sharedcache::RunCaches;
 use parking_lot::Mutex;
 use phishsim_browser::rendercache::content_hash;
 use phishsim_browser::{
-    BrowseStep, Browser, BrowserConfig, DialogPolicy, FetchError, PageView, Transport,
+    BrowseStep, Browser, BrowserConfig, DialogPolicy, FetchError, PageView, PassSetup, Transport,
 };
 use phishsim_captcha::CaptchaProvider;
 use phishsim_http::{Request, Url, UserAgent};
@@ -89,24 +89,27 @@ pub struct Engine {
     /// Recently processed URLs for report deduplication, keyed by a
     /// query-stripped URL hash (no per-check String materialization).
     recent_reports: std::collections::HashMap<u64, SimTime>,
-    /// The render cache every browser this engine spawns renders
-    /// through, and the verdict store it classifies through: the
-    /// engine's own pair, or its run's ([`Engine::with_run_caches`]).
+    /// The render cache the engine's browser renders through, and the
+    /// verdict store it classifies through: the engine's own pair, or
+    /// its run's ([`Engine::with_run_caches`]).
     caches: RunCaches,
     classify_hits: u64,
     classify_misses: u64,
     /// Retry policy for transient crawl failures (lost exchanges,
-    /// server errors, outages). Applied at two layers: each spawned
-    /// browser retries individual exchanges, and the engine re-drives
-    /// whole failed visits through a retry-timer [`Scheduler`].
+    /// server errors, outages). Applied at two layers: the browser
+    /// retries individual exchanges, and the engine re-drives whole
+    /// failed visits through a retry-timer [`Scheduler`].
     retry_policy: RetryPolicy,
-    /// Browsers spawned so far; labels each browser's retry stream.
+    /// The engine's one browser, reset for every crawl pass
+    /// ([`Engine::start_pass`]).
+    browser: Browser,
+    /// Crawl passes started so far; labels each pass's retry stream.
     browser_seq: u64,
     /// Visits that needed engine-level recovery; labels their backoff
     /// schedules. Only advances when a transient failure occurs, so the
     /// fault-free path never touches it.
     visit_seq: u64,
-    /// Observability sink shared with every browser this engine spawns.
+    /// Observability sink shared with the engine's browser.
     /// `ObsSink::Null` (the default) is inert: no events, no RNG draws.
     obs: ObsSink,
     /// The engine's own crawler user agent, built once: the probe loop
@@ -142,6 +145,11 @@ impl Engine {
                 id.key()
             ),
         };
+        let browser = Browser::new(
+            BrowserConfig::plain_crawler(""),
+            Ipv4Sim::new(0, 0, 0, 0),
+            id.key(),
+        );
         Engine {
             profile,
             bot_user_agent,
@@ -153,6 +161,7 @@ impl Engine {
             classify_hits: 0,
             classify_misses: 0,
             retry_policy: RetryPolicy::crawl_default(),
+            browser,
             browser_seq: 0,
             visit_seq: 0,
             obs: ObsSink::Null,
@@ -160,9 +169,9 @@ impl Engine {
     }
 
     /// Attach an observability sink (builder style). The sink is shared
-    /// with every browser the engine spawns and with the retry-timer
-    /// scheduler, so crawl/classify/convict spans, retry counters and
-    /// scheduler gauges all land in one registry.
+    /// with the engine's browser and with the retry-timer scheduler, so
+    /// crawl/classify/convict spans, retry counters and scheduler gauges
+    /// all land in one registry.
     pub fn with_obs(mut self, obs: ObsSink) -> Self {
         self.obs = obs;
         self
@@ -298,37 +307,29 @@ impl Engine {
             .then(|| self.rng.pick(&DISGUISES).as_str())
     }
 
-    fn crawler_user_agent(&mut self) -> String {
+    /// Reset the engine's browser for one crawl pass (a first visit, a
+    /// deep pass, a recheck or a dedup revalidation): the empty profile
+    /// of a new browser, with a drawn user agent and source address
+    /// (in that order). The pass's retry stream is the engine stream's
+    /// `browser-retry:{n}` fork, forked only if an exchange fails.
+    fn start_pass(&mut self, dialog_policy: DialogPolicy) {
         let disguise = self.draw_disguise();
-        disguise.unwrap_or(&self.bot_user_agent).to_string()
-    }
-
-    fn browser(&mut self, dialog_policy: DialogPolicy) -> Browser {
-        let ua = self.crawler_user_agent();
-        let config = BrowserConfig {
-            user_agent: ua,
+        let src = self.pool.draw(&mut self.rng);
+        self.browser_seq += 1;
+        self.browser.reset(PassSetup {
+            user_agent: disguise.unwrap_or(&self.bot_user_agent),
             dialog_policy,
             // None for every real engine — the paper's central finding.
             // Mitigation studies plug a farm solver into the profile.
-            captcha_solver: self.profile.captcha_solver.clone(),
-            max_redirects: 5,
-            max_effect_rounds: 3,
-        };
-        let src = self.pool.draw(&mut self.rng);
-        let mut browser = Browser::new(config, src, self.profile.id.key())
-            .with_obs(self.obs.clone())
-            .with_render_cache(Arc::clone(&self.caches.render));
-        if let Some(p) = &self.captcha_provider {
-            browser = browser.with_captcha_provider(Arc::clone(p));
-        }
-        // Each browser gets its own retry stream; forking never consumes
-        // the engine stream, so this is free when no faults occur.
-        self.browser_seq += 1;
-        browser.with_retry(
-            self.retry_policy.clone(),
-            self.rng
-                .fork(&format!("browser-retry:{}", self.browser_seq)),
-        )
+            captcha_solver: self.profile.captcha_solver.as_ref(),
+            captcha_provider: self.captcha_provider.as_ref(),
+            src,
+            obs: &self.obs,
+            render_cache: &self.caches.render,
+            retry_policy: &self.retry_policy,
+            retry_parent: &self.rng,
+            pass: self.browser_seq,
+        });
     }
 
     /// Visit with engine-level recovery: a transiently failed visit is
@@ -341,12 +342,11 @@ impl Engine {
     /// equal to the real completion time.
     fn visit_with_retry(
         &mut self,
-        browser: &mut Browser,
         t: &mut dyn Transport,
         url: &Url,
         start: SimTime,
     ) -> Result<PageView, FetchError> {
-        let first = match browser.visit(t, url, start) {
+        let first = match self.browser.visit(t, url, start) {
             Err(e) if e.is_transient() => e,
             other => return other,
         };
@@ -366,7 +366,7 @@ impl Engine {
         let mut last = first;
         while let Some((retry_at, attempt)) = timers.pop() {
             self.obs.incr("engine.visit_retries");
-            match browser.visit(t, url, retry_at) {
+            match self.browser.visit(t, url, retry_at) {
                 Ok(mut view) => {
                     for id in pending.drain(attempt as usize + 1..) {
                         timers.cancel(id);
@@ -400,27 +400,18 @@ impl Engine {
     /// Fetch a handful of page assets/links the way crawlers do after
     /// loading a page (favicon, logo images, first links).
     fn fetch_assets(&mut self, t: &mut dyn Transport, view: &PageView, at: SimTime) -> u64 {
-        let mut paths: Vec<String> = Vec::new();
-        if let Some(f) = &view.summary.favicon {
-            paths.push(f.clone());
-        }
-        paths.extend(view.summary.images.iter().take(2).cloned());
-        paths.extend(
-            view.summary
-                .links
-                .iter()
-                .filter(|l| l.starts_with('/'))
-                .take(3)
-                .cloned(),
-        );
-        let ua = self.crawler_user_agent();
+        let summary = &view.summary;
+        let paths = summary
+            .favicon
+            .iter()
+            .chain(summary.images.iter().take(2))
+            .chain(summary.links.iter().filter(|l| l.starts_with('/')).take(3))
+            .filter(|p| p.starts_with('/'));
+        let ua = self.draw_disguise().unwrap_or(&self.bot_user_agent);
         let mut n = 0;
         for p in paths {
-            if !p.starts_with('/') {
-                continue;
-            }
-            let url = Url::https(&view.url.host, &p);
-            let req = Request::get(url).with_user_agent(&ua);
+            let url = Url::https(&view.url.host, p);
+            let req = Request::get(url).with_user_agent(ua);
             let src = self.pool.draw(&mut self.rng);
             let _ = t.fetch(src, self.profile.id.key(), &req, at);
             n += 1;
@@ -434,11 +425,12 @@ impl Engine {
     /// so the outcome of report *n+1* depends on how many draws report
     /// *n* made — fine for a serial intake queue, wrong for a fleet
     /// where work-stealing reorders reports. This variant runs the
-    /// report on a child stream forked from the engine seed and `key`
-    /// alone (labelled forks are position-independent), with the
-    /// browser/visit sequence labels reset around the call, so the
-    /// outcome is a pure function of `(engine seed, key, url,
-    /// reported_at)` no matter where in the schedule it lands.
+    /// report on the child stream `report-key:r{key}` forked from the
+    /// engine seed alone (labelled forks are position-independent; the
+    /// label is hashed without being built), with the browser/visit
+    /// sequence labels reset around the call, so the outcome is a pure
+    /// function of `(engine seed, key, url, reported_at)` no matter
+    /// where in the schedule it lands.
     ///
     /// Shared state that is *meant* to persist across reports — the
     /// dedup window, caches — still applies as in `process_report`.
@@ -448,9 +440,9 @@ impl Engine {
         url: &Url,
         reported_at: SimTime,
         volume_scale: f64,
-        key: &str,
+        key: usize,
     ) -> ReportOutcome {
-        let keyed = self.rng.fork(&format!("report-key:{key}"));
+        let keyed = self.rng.numbered_forks("report-key:r").fork(key);
         let saved_rng = std::mem::replace(&mut self.rng, keyed);
         let saved_browser_seq = std::mem::take(&mut self.browser_seq);
         let saved_visit_seq = std::mem::take(&mut self.visit_seq);
@@ -477,13 +469,13 @@ impl Engine {
         if self.is_duplicate_report(url, reported_at) {
             self.obs.incr("engine.reports");
             self.obs.incr("engine.dedup_hits");
-            let mut browser = self.browser(self.profile.dialog_policy);
+            self.start_pass(self.profile.dialog_policy);
             let recheck_at = reported_at + self.profile.channel.intake_delay(&mut self.rng);
             let mut requests = 0;
             let mut best_score = 0.0;
             let mut payload_reached = false;
             let mut payload_reached_at = None;
-            if let Ok(view) = self.visit_with_retry(&mut browser, t, url, recheck_at) {
+            if let Ok(view) = self.visit_with_retry(t, url, recheck_at) {
                 requests = Self::exchanges_in(&view);
                 best_score = self.classify_score(&view, &url.host);
                 if view.summary.has_login_form() {
@@ -535,8 +527,8 @@ impl Engine {
         // ---- initial visit ----
         let crawl_span = obs.span_start(Some(report_span), "engine.crawl", actor, first_visit_at);
         let mut last_activity = first_visit_at;
-        let mut browser = self.browser(self.profile.dialog_policy);
-        let initial = self.visit_with_retry(&mut browser, t, url, first_visit_at);
+        self.start_pass(self.profile.dialog_policy);
+        let initial = self.visit_with_retry(t, url, first_visit_at);
         let mut site_paths: Vec<String> = vec![url.path.clone()];
         if let Ok(view) = &initial {
             last_activity = last_activity.max(first_visit_at + view.elapsed);
@@ -585,7 +577,9 @@ impl Engine {
                 };
                 if let Some(form) = candidate {
                     let submit_at = first_visit_at + view.elapsed;
-                    if let Ok(after) = browser.submit_form(t, view, &form, "probe-user", submit_at)
+                    if let Ok(after) =
+                        self.browser
+                            .submit_form(t, view, &form, "probe-user", submit_at)
                     {
                         last_activity = last_activity.max(submit_at + after.elapsed);
                         requests += Self::exchanges_in(&after)
@@ -615,8 +609,8 @@ impl Engine {
             if best_score < self.profile.threshold {
                 let (dlo, dhi) = deep.delay_mins;
                 let deep_at = reported_at + SimDuration::from_mins(self.rng.range(dlo..=dhi));
-                let mut deep_browser = self.browser(deep.dialog_policy);
-                if let Ok(view) = self.visit_with_retry(&mut deep_browser, t, url, deep_at) {
+                self.start_pass(deep.dialog_policy);
+                if let Ok(view) = self.visit_with_retry(t, url, deep_at) {
                     last_activity = last_activity.max(deep_at + view.elapsed);
                     requests += Self::exchanges_in(&view);
                     captcha_recognised |=
@@ -651,8 +645,8 @@ impl Engine {
             for _ in 0..3 {
                 let recheck_at =
                     first_visit_at + SimDuration::from_mins(self.rng.range(60..1_200u64));
-                let mut recheck_browser = self.browser(self.profile.dialog_policy);
-                if let Ok(view) = self.visit_with_retry(&mut recheck_browser, t, url, recheck_at) {
+                self.start_pass(self.profile.dialog_policy);
+                if let Ok(view) = self.visit_with_retry(t, url, recheck_at) {
                     last_activity = last_activity.max(recheck_at + view.elapsed);
                     requests += Self::exchanges_in(&view);
                     captcha_recognised |=
@@ -1125,10 +1119,11 @@ mod tests {
         );
     }
 
-    /// Fails the first `failures` fetches with a transient error, then
-    /// delegates to the real transport.
+    /// Passes the first `skip` fetches, fails the next `failures` with
+    /// a transient error, then delegates to the real transport.
     struct Flaky<'a> {
         inner: &'a mut DirectTransport,
+        skip: u32,
         failures: u32,
         seen: u32,
     }
@@ -1142,10 +1137,19 @@ mod tests {
             now: SimTime,
         ) -> Result<(phishsim_http::Response, SimDuration), phishsim_browser::FetchError> {
             self.seen += 1;
-            if self.seen <= self.failures {
+            if self.seen > self.skip && self.seen <= self.skip + self.failures {
                 return Err(phishsim_browser::FetchError::ConnectionLost);
             }
             self.inner.fetch(src, actor, req, now)
+        }
+    }
+
+    fn flaky(inner: &mut DirectTransport, skip: u32, failures: u32) -> Flaky<'_> {
+        Flaky {
+            inner,
+            skip,
+            failures,
+            seen: 0,
         }
     }
 
@@ -1155,11 +1159,7 @@ mod tests {
         // retries on the first visit, forcing the engine's
         // Scheduler-driven visit recovery to kick in.
         let mut d = deploy(Brand::PayPal, GateConfig::simple(EvasionTechnique::None));
-        let mut t = Flaky {
-            inner: &mut d.transport,
-            failures: 5,
-            seen: 0,
-        };
+        let mut t = flaky(&mut d.transport, 0, 5);
         let mut engine = Engine::new(EngineId::Gsb, &DetRng::new(2020));
         let o = engine.process_report(&mut t, &d.url, SimTime::from_mins(60), 0.0);
         assert!(o.payload_reached, "retries must recover the visit");
@@ -1169,11 +1169,7 @@ mod tests {
     #[test]
     fn no_retries_policy_restores_abort_on_failure() {
         let mut d = deploy(Brand::PayPal, GateConfig::simple(EvasionTechnique::None));
-        let mut t = Flaky {
-            inner: &mut d.transport,
-            failures: 5,
-            seen: 0,
-        };
+        let mut t = flaky(&mut d.transport, 0, 5);
         let mut engine = Engine::new(EngineId::Gsb, &DetRng::new(2020))
             .with_retry_policy(phishsim_simnet::RetryPolicy::no_retries());
         let o = engine.process_report(&mut t, &d.url, SimTime::from_mins(60), 0.0);
@@ -1197,6 +1193,71 @@ mod tests {
         assert_eq!(with_retries.requests_made, without.requests_made);
         assert_eq!(with_retries.best_score, without.best_score);
         assert_eq!(with_retries.first_visit_at, without.first_visit_at);
+    }
+
+    /// Outcomes recorded when every pass built its own browser with an
+    /// eagerly forked `browser-retry:{n}` stream and each report key
+    /// was a formatted label: the retry jitter of every pass and the
+    /// keyed report stream must still be those streams.
+    const RETRY_PINS: [&str; 4] = [
+        r#"{"best_score":0.9500000000000001,"captcha_recognised":false,"detected_at":5665799,"engine":"Gsb","first_visit_at":4601000,"kit_archive_found":false,"payload_reached":true,"payload_reached_at":4605307,"payload_via":"Direct","reported_at":3600000,"requests_made":6,"url":{"host":"green-energy.com","https":true,"path":"/secure/login.php","query":[]}}"#,
+        r#"{"best_score":0.9500000000000001,"captcha_recognised":false,"detected_at":11181219,"engine":"Gsb","first_visit_at":4789000,"kit_archive_found":false,"payload_reached":true,"payload_reached_at":10025921,"payload_via":"DialogConfirm","reported_at":3600000,"requests_made":4,"url":{"host":"green-energy.com","https":true,"path":"/secure/login.php","query":[]}}"#,
+        r#"{"best_score":0.9500000000000001,"captcha_recognised":false,"detected_at":5944348,"engine":"Gsb","first_visit_at":4789000,"kit_archive_found":false,"payload_reached":true,"payload_reached_at":4789050,"payload_via":"Direct","reported_at":3600000,"requests_made":6,"url":{"host":"green-energy.com","https":true,"path":"/secure/login.php","query":[]}}"#,
+        r#"{"best_score":0.9500000000000001,"captcha_recognised":false,"detected_at":6007809,"engine":"Gsb","first_visit_at":5457000,"kit_archive_found":false,"payload_reached":true,"payload_reached_at":5460694,"payload_via":"Direct","reported_at":5400000,"requests_made":1,"url":{"host":"green-energy.com","https":true,"path":"/secure/login.php","query":[]}}"#,
+    ];
+
+    #[test]
+    fn retry_streams_match_the_recorded_outcomes() {
+        let json = |o: &ReportOutcome| serde_json::to_string(o).unwrap();
+        let sink = ObsSink::memory();
+        let gsb = || Engine::new(EngineId::Gsb, &DetRng::new(2020)).with_obs(sink.clone());
+        let naked = || deploy(Brand::PayPal, GateConfig::simple(EvasionTechnique::None));
+        let at = SimTime::from_mins(60);
+
+        // First visit: the browser's retries give up, the engine's
+        // visit recovery runs, and a browser retry recovers it.
+        let mut d = naked();
+        let o = gsb().process_report(&mut flaky(&mut d.transport, 0, 5), &d.url, at, 0.0);
+        assert_eq!(json(&o), RETRY_PINS[0]);
+
+        // Keyed report behind an alert box: the failures hit GSB's deep
+        // pass, the second pass of the report.
+        let mut d = deploy(
+            Brand::PayPal,
+            GateConfig::simple(EvasionTechnique::AlertBox),
+        );
+        let o = gsb().process_report_keyed(&mut flaky(&mut d.transport, 1, 6), &d.url, at, 0.0, 3);
+        assert_eq!(json(&o), RETRY_PINS[1]);
+
+        // A clean keyed report, then a keyed dedup revalidation that
+        // needs both kinds of recovery.
+        let mut d = naked();
+        let mut engine = gsb();
+        let o = engine.process_report_keyed(&mut d.transport, &d.url, at, 0.0, 3);
+        assert_eq!(json(&o), RETRY_PINS[2]);
+        let later = SimTime::from_mins(90);
+        let mut t = flaky(&mut d.transport, 0, 5);
+        let o = engine.process_report_keyed(&mut t, &d.url, later, 0.0, 41);
+        assert_eq!(json(&o), RETRY_PINS[3]);
+
+        let m = sink.metrics();
+        assert_eq!(m.counter("engine.visit_recovered"), 3, "{m:?}");
+        assert!(m.counter("retry.recovered") >= 3, "{m:?}");
+    }
+
+    #[test]
+    fn reset_run_caches_moves_the_next_pass_to_the_new_cache() {
+        let mut d = deploy(Brand::PayPal, GateConfig::simple(EvasionTechnique::None));
+        let mut engine = Engine::new(EngineId::Gsb, &DetRng::new(2020));
+        engine.process_report(&mut d.transport, &d.url, SimTime::from_mins(60), 0.0);
+        assert!(engine.cache_counters().get("render_cache.miss") > 0);
+        engine.reset_run_caches();
+        let c = engine.cache_counters();
+        assert_eq!(c.get("render_cache.miss") + c.get("render_cache.hit"), 0);
+        // A dedup revalidation: one pass, rendered through the new cache.
+        engine.process_report(&mut d.transport, &d.url, SimTime::from_mins(90), 0.0);
+        let c = engine.cache_counters();
+        assert_eq!(c.get("render_cache.miss"), 1, "{c:?}");
     }
 
     #[test]

@@ -52,8 +52,8 @@ use phishsim_browser::Transport;
 use phishsim_http::{hosting_shard, Url};
 use phishsim_simnet::metrics::CounterSet;
 use phishsim_simnet::{
-    DetRng, FaultInjector, Ipv4Sim, LogHistogram, ObsSink, OutageWindow, Scheduler, SimDuration,
-    SimTime, SpanId, WorkerFault, WorkerFaultPlan,
+    BuildSymHasher, DetRng, FaultInjector, Ipv4Sim, LogHistogram, ObsSink, OutageWindow, Scheduler,
+    SimDuration, SimTime, SpanId, WorkerFault, WorkerFaultPlan,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
@@ -285,8 +285,11 @@ struct Fleet<'a> {
     idle: BTreeSet<u32>,
     steal_rng: DetRng,
     counters: CounterSet,
-    spans: HashMap<u32, SpanId>,
-    redeliveries: HashMap<u32, u32>,
+    /// Open `fleet.report` span per report index, and the redelivery
+    /// count of each redelivered report: one insert per arrival, so
+    /// both hash with the simulation's fast hasher.
+    spans: HashMap<u32, SpanId, BuildSymHasher>,
+    redeliveries: HashMap<u32, u32, BuildSymHasher>,
     outcomes: Vec<FleetOutcome>,
     queue_wait_ms: LogHistogram,
     detection_delay_mins: LogHistogram,
@@ -415,7 +418,7 @@ impl Fleet<'_> {
             &arrival.url,
             dispatched_at,
             self.cfg.volume_scale,
-            &format!("r{}", report.idx),
+            report.idx as usize,
         );
         let completed_at = dispatched_at + self.cfg.service.occupancy(outcome.requests_made);
         self.obs.span_end(crawl_span, completed_at);
@@ -502,8 +505,8 @@ pub fn run_fleet(
         idle: (0..cfg.workers as u32).collect(),
         steal_rng: rng.fork("fleet-steal"),
         counters: CounterSet::new(),
-        spans: HashMap::new(),
-        redeliveries: HashMap::new(),
+        spans: HashMap::default(),
+        redeliveries: HashMap::default(),
         outcomes: Vec::with_capacity(arrivals.len()),
         queue_wait_ms: LogHistogram::default(),
         detection_delay_mins: LogHistogram::default(),

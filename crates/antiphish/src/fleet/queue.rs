@@ -66,6 +66,8 @@ pub struct ShardedQueue {
     capacity: usize,
     shards: Vec<BTreeMap<(u64, u64), QueuedReport>>,
     seq: u64,
+    /// Reports queued across all shards, kept as shards change.
+    total: usize,
     deepest_total: usize,
 }
 
@@ -79,6 +81,7 @@ impl ShardedQueue {
             capacity,
             shards: (0..workers).map(|_| BTreeMap::new()).collect(),
             seq: 0,
+            total: 0,
             deepest_total: 0,
         }
     }
@@ -95,7 +98,7 @@ impl ShardedQueue {
 
     /// Reports queued across all shards.
     pub fn total_depth(&self) -> usize {
-        self.shards.iter().map(BTreeMap::len).sum()
+        self.total
     }
 
     /// High-water mark of [`ShardedQueue::total_depth`].
@@ -122,20 +125,25 @@ impl ShardedQueue {
         let rank = self.discipline.rank(report.reputation);
         self.shards[shard].insert((rank, self.seq), report);
         self.seq += 1;
-        self.deepest_total = self.deepest_total.max(self.total_depth());
+        self.total += 1;
+        self.deepest_total = self.deepest_total.max(self.total);
         Ok(())
     }
 
     /// Pop the best-ranked report from the worker's own shard.
     pub fn pop_local(&mut self, shard: usize) -> Option<QueuedReport> {
-        self.shards[shard].pop_first().map(|(_, r)| r)
+        let (_, r) = self.shards[shard].pop_first()?;
+        self.total -= 1;
+        Some(r)
     }
 
     /// Steal the *worst*-ranked report from a victim's shard — the
     /// opposite end from [`ShardedQueue::pop_local`], so thieves and
     /// the owner contend for different reports.
     pub fn steal_from(&mut self, victim: usize) -> Option<QueuedReport> {
-        self.shards[victim].pop_last().map(|(_, r)| r)
+        let (_, r) = self.shards[victim].pop_last()?;
+        self.total -= 1;
+        Some(r)
     }
 }
 
@@ -200,5 +208,24 @@ mod tests {
         q.push(1, report(2, 0)).unwrap();
         assert_eq!(q.total_depth(), 3);
         assert_eq!(q.deepest_total(), 3);
+    }
+
+    #[test]
+    fn total_depth_tracks_every_shard_change() {
+        let mut q = ShardedQueue::new(3, 2, QueueDiscipline::FeedReputation);
+        let sum = |q: &ShardedQueue| (0..q.shard_count()).map(|s| q.depth(s)).sum::<usize>();
+        for i in 0..9u32 {
+            let _ = q.push(i as usize % 3, report(i, (i * 37 % 1000) as u16));
+            assert_eq!(q.total_depth(), sum(&q));
+        }
+        assert_eq!(q.total_depth(), 6, "three pushes hit full shards");
+        assert!(q.steal_from(1).is_some());
+        assert!(q.pop_local(0).is_some());
+        assert_eq!(q.total_depth(), sum(&q));
+        while q.pop_local(2).is_some() {}
+        assert!(q.pop_local(2).is_none() && q.steal_from(2).is_none());
+        assert_eq!(q.total_depth(), sum(&q));
+        assert_eq!(q.total_depth(), 2);
+        assert_eq!(q.deepest_total(), 6);
     }
 }

@@ -274,7 +274,7 @@ impl Fleet<'_> {
             &arrival.url,
             dispatched_at,
             self.cfg.volume_scale,
-            &format!("r{}", report.idx),
+            report.idx as usize,
         );
         let completed_at = dispatched_at + self.cfg.service.occupancy(outcome.requests_made);
         let in_flight = InFlight {

@@ -80,10 +80,9 @@ impl BrowserConfig {
 /// One observable step of a visit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BrowseStep {
-    /// The browser fetched a URL (after redirects resolved).
+    /// The browser received a page (after redirects resolved); the
+    /// view's `url` is where the last one came from.
     Loaded {
-        /// The loaded URL.
-        url: String,
         /// HTTP status.
         status: u16,
     },
@@ -149,12 +148,41 @@ impl PageView {
     }
 }
 
+/// What one pass of a reused browser presents and runs with
+/// ([`Browser::reset`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PassSetup<'a> {
+    /// `User-Agent` of every request of the pass.
+    pub user_agent: &'a str,
+    /// Reaction to modal dialogs.
+    pub dialog_policy: DialogPolicy,
+    /// CAPTCHA-solving capability, if any.
+    pub captcha_solver: Option<&'a SolverProfile>,
+    /// Provider CAPTCHA attempts go to, if any.
+    pub captcha_provider: Option<&'a Arc<Mutex<CaptchaProvider>>>,
+    /// Source address of the pass.
+    pub src: Ipv4Sim,
+    /// Sink of the pass's spans and retry events.
+    pub obs: &'a ObsSink,
+    /// Cache the pass renders through.
+    pub render_cache: &'a Arc<RenderCache>,
+    /// Retry policy for transient fetch failures.
+    pub retry_policy: &'a RetryPolicy,
+    /// The stream the pass's retry stream forks from.
+    pub retry_parent: &'a DetRng,
+    /// Labels the pass's retry stream, `browser-retry:{pass}`.
+    pub pass: u64,
+}
+
 /// A headless browser instance.
+///
+/// One browser can serve many passes: [`Browser::reset`] gives it back
+/// the empty profile a new browser shows.
 #[derive(Debug)]
 pub struct Browser {
     /// Capability profile.
     pub config: BrowserConfig,
-    /// Cookie jar (persists across visits; cleared per profile).
+    /// Cookie jar (persists across visits; emptied by a reset).
     pub jar: CookieJar,
     /// The client's Safe-Browsing state: downloaded prefix store (when
     /// installed) gating the verdict cache.
@@ -168,16 +196,26 @@ pub struct Browser {
     pub captcha_provider: Option<Arc<Mutex<CaptchaProvider>>>,
     /// Shared render cache; without one, every page is parsed directly.
     render_cache: Option<Arc<RenderCache>>,
-    /// Retry policy for transient fetch failures, with the RNG the
-    /// jittered schedules fork from. `None` means failures are final.
-    retry: Option<(RetryPolicy, DetRng)>,
-    /// Count of exchanges that needed a retry schedule; feeds the fork
-    /// label so each recovery gets its own jitter stream.
+    /// Transient-failure recovery. `None` means failures are final.
+    retry: Option<Retry>,
+    /// Count of exchanges this pass that needed a retry schedule; feeds
+    /// the schedule label so each recovery gets its own jitter stream.
     retry_seq: u64,
-    history: Vec<Url>,
     /// Observability sink: fetch/render/challenge spans and retry
     /// attempt/give-up events. `Null` by default and free when disabled.
     obs: ObsSink,
+}
+
+/// A browser's retry policy and where its retry stream comes from.
+#[derive(Debug)]
+struct Retry {
+    policy: RetryPolicy,
+    /// The pass's retry stream is `parent.fork("browser-retry:{pass}")`.
+    parent: DetRng,
+    pass: u64,
+    /// That stream, forked when an exchange of the pass first fails: a
+    /// pass without failures builds no label and forks nothing.
+    stream: Option<DetRng>,
 }
 
 impl Browser {
@@ -193,9 +231,39 @@ impl Browser {
             render_cache: None,
             retry: None,
             retry_seq: 0,
-            history: Vec::new(),
             obs: ObsSink::Null,
         }
+    }
+
+    /// Begin a new pass as the empty profile a new browser shows: no
+    /// cookies, no Safe-Browsing state, no retries counted, and every
+    /// setting taken from `setup`. The user agent is copied into the
+    /// existing buffer, and the render cache is replaced only when
+    /// `setup` names another one.
+    pub fn reset(&mut self, setup: PassSetup<'_>) {
+        self.jar.clear();
+        self.sb_cache = SbLocalDb::default_ttl();
+        self.retry_seq = 0;
+        self.config.user_agent.clear();
+        self.config.user_agent.push_str(setup.user_agent);
+        self.config.dialog_policy = setup.dialog_policy;
+        self.config.captcha_solver = setup.captcha_solver.cloned();
+        self.captcha_provider = setup.captcha_provider.cloned();
+        self.src = setup.src;
+        self.obs.clone_from(setup.obs);
+        if !self
+            .render_cache
+            .as_ref()
+            .is_some_and(|c| Arc::ptr_eq(c, setup.render_cache))
+        {
+            self.render_cache = Some(Arc::clone(setup.render_cache));
+        }
+        self.retry = Some(Retry {
+            policy: setup.retry_policy.clone(),
+            parent: setup.retry_parent.clone(),
+            pass: setup.pass,
+            stream: None,
+        });
     }
 
     /// Attach an observability sink (builder style). Each visit emits a
@@ -208,10 +276,16 @@ impl Browser {
     }
 
     /// Attach a retry policy for transient fetch failures (builder
-    /// style). Schedules are forked off `rng` per failed exchange, so a
-    /// browser that never hits a failure never touches the stream.
-    pub fn with_retry(mut self, policy: RetryPolicy, rng: DetRng) -> Self {
-        self.retry = Some((policy, rng));
+    /// style). Schedules fork off `parent.fork("browser-retry:0")`,
+    /// forked when an exchange first fails, so a browser that never
+    /// hits a failure never touches the stream.
+    pub fn with_retry(mut self, policy: RetryPolicy, parent: DetRng) -> Self {
+        self.retry = Some(Retry {
+            policy,
+            parent,
+            pass: 0,
+            stream: None,
+        });
         self
     }
 
@@ -221,31 +295,12 @@ impl Browser {
         self
     }
 
-    /// Attach a shared render cache (builder style). Browsers spawned by
-    /// the same engine share one cache so repeat visits to an unchanged
-    /// body parse it only once.
-    pub fn with_render_cache(mut self, cache: Arc<RenderCache>) -> Self {
-        self.render_cache = Some(cache);
-        self
-    }
-
     /// Render a body through the shared cache, or directly without one.
     fn render(&self, body: &Body) -> Arc<Rendered> {
         match &self.render_cache {
             Some(cache) => cache.render_body(body),
             None => Arc::new(Rendered::compute(body)),
         }
-    }
-
-    /// Visit history.
-    pub fn history(&self) -> &[Url] {
-        &self.history
-    }
-
-    fn build_request(&self, mut req: Request, now: SimTime) -> Request {
-        req = req.with_user_agent(&self.config.user_agent);
-        let cookie = self.jar.cookie_header(&req.url.host, &req.url.path, now);
-        req.with_cookie_header(&cookie)
     }
 
     /// Fetch with transient-failure recovery. The backoff schedule is
@@ -262,9 +317,13 @@ impl Browser {
             other => return other,
         };
         self.retry_seq += 1;
-        let (policy, rng) = self.retry.as_ref().expect("checked above");
+        let retry = self.retry.as_mut().expect("checked above");
+        let (parent, pass) = (&retry.parent, retry.pass);
+        let stream = retry
+            .stream
+            .get_or_insert_with(|| parent.fork(&format!("browser-retry:{pass}")));
         let label = format!("{}:{}", self.actor, self.retry_seq);
-        let schedule = policy.schedule_observed(rng, &label, &self.obs);
+        let schedule = retry.policy.schedule_observed(stream, &label, &self.obs);
         let mut last = first;
         for delay in schedule {
             *now += delay;
@@ -285,22 +344,27 @@ impl Browser {
         Err(last)
     }
 
-    /// Perform one raw exchange: cookies out, cookies in.
+    /// Perform one raw exchange: the user agent and matching cookies
+    /// go out on `req`, the response's cookies come into the jar.
     fn exchange(
         &mut self,
         t: &mut dyn Transport,
-        req: Request,
+        req: &mut Request,
         now: &mut SimTime,
     ) -> Result<Response, FetchError> {
-        let host = req.url.host.clone();
-        let req = self.build_request(req, *now);
-        let (resp, rtt) = self.fetch_with_retry(t, &req, now)?;
+        req.headers.set("User-Agent", &self.config.user_agent);
+        let cookie = self.jar.cookie_header(&req.url.host, &req.url.path, *now);
+        if !cookie.is_empty() {
+            req.headers.set("Cookie", &cookie);
+        }
+        let (resp, rtt) = self.fetch_with_retry(t, req, now)?;
         *now += rtt;
-        self.jar.ingest(&resp.set_cookies(), &host, *now);
+        self.jar.ingest(resp.set_cookies(), &req.url.host, *now);
         Ok(resp)
     }
 
-    /// Fetch a URL following redirects.
+    /// Fetch a URL following redirects. Each hop is one request, and
+    /// the last hop's URL comes back with its response.
     fn fetch_following(
         &mut self,
         t: &mut dyn Transport,
@@ -308,23 +372,37 @@ impl Browser {
         now: &mut SimTime,
         steps: &mut Vec<BrowseStep>,
     ) -> Result<(Url, Response), FetchError> {
-        let mut current = url;
-        let mut resp = self.exchange(t, Request::get(current.clone()), now)?;
+        let mut req = Request::get(url);
+        let mut resp = self.exchange(t, &mut req, now)?;
         let mut hops = 0;
-        while let Some(loc) = resp.location().map(|s| s.to_string()) {
+        while let Some(loc) = resp.location() {
             hops += 1;
             if hops > self.config.max_redirects {
                 return Err(FetchError::TooManyRedirects);
             }
-            let next = resolve_location(&current, &loc)
-                .ok_or_else(|| FetchError::BadRedirect(loc.clone()))?;
+            let next = resolve_location(&req.url, loc)
+                .ok_or_else(|| FetchError::BadRedirect(loc.to_string()))?;
             steps.push(BrowseStep::Redirected {
                 to: next.to_string(),
             });
-            current = next;
-            resp = self.exchange(t, Request::get(current.clone()), now)?;
+            req = Request::get(next);
+            resp = self.exchange(t, &mut req, now)?;
         }
-        Ok((current, resp))
+        Ok((req.url, resp))
+    }
+
+    /// POST `fields` to `url` and hand the URL back with the response
+    /// (an interaction stays on the page it was made on).
+    fn post_form(
+        &mut self,
+        t: &mut dyn Transport,
+        url: Url,
+        fields: &[(&str, &str)],
+        now: &mut SimTime,
+    ) -> Result<(Url, Response), FetchError> {
+        let mut post = Request::post_form(url, fields);
+        let resp = self.exchange(t, &mut post, now)?;
+        Ok((post.url, resp))
     }
 
     /// Visit a URL and process its effects per the capability profile.
@@ -363,7 +441,6 @@ impl Browser {
         obs.span_end(fetch_span, *now);
         let (mut current, mut resp) = fetched?;
         steps.push(BrowseStep::Loaded {
-            url: current.to_string(),
             status: resp.status.code(),
         });
 
@@ -398,18 +475,17 @@ impl Browser {
                         steps.push(BrowseStep::DialogOpened {
                             message: message.clone(),
                         });
-                        let fields: Vec<(&str, &str)> =
+                        let confirm = [(confirm_field.0.as_str(), confirm_field.1.as_str())];
+                        let fields: &[(&str, &str)] =
                             if self.config.dialog_policy == DialogPolicy::Confirm {
                                 steps.push(BrowseStep::DialogConfirmed);
-                                vec![(confirm_field.0.as_str(), confirm_field.1.as_str())]
+                                &confirm
                             } else {
                                 steps.push(BrowseStep::DialogDismissed);
-                                vec![]
+                                &[]
                             };
-                        let post = Request::post_form(current.clone(), &fields);
-                        resp = self.exchange(t, post, now)?;
+                        (current, resp) = self.post_form(t, current, fields, now)?;
                         steps.push(BrowseStep::Loaded {
-                            url: current.to_string(),
                             status: resp.status.code(),
                         });
                         let c = obs.span_start(
@@ -449,13 +525,9 @@ impl Browser {
                             None => steps.push(BrowseStep::CaptchaFailed),
                             Some(tok) => {
                                 steps.push(BrowseStep::CaptchaSolved);
-                                let post = Request::post_form(
-                                    current.clone(),
-                                    &[(field_name.as_str(), tok.0.as_str())],
-                                );
-                                resp = self.exchange(t, post, now)?;
+                                let fields = [(field_name.as_str(), tok.0.as_str())];
+                                (current, resp) = self.post_form(t, current, &fields, now)?;
                                 steps.push(BrowseStep::Loaded {
-                                    url: current.to_string(),
                                     status: resp.status.code(),
                                 });
                                 acted = true;
@@ -479,11 +551,8 @@ impl Browser {
                         steps.push(BrowseStep::AutoRedirected {
                             to: next.to_string(),
                         });
-                        let (u, r) = self.fetch_following(t, next, now, &mut steps)?;
-                        current = u;
-                        resp = r;
+                        (current, resp) = self.fetch_following(t, next, now, &mut steps)?;
                         steps.push(BrowseStep::Loaded {
-                            url: current.to_string(),
                             status: resp.status.code(),
                         });
                         acted = true;
@@ -507,7 +576,6 @@ impl Browser {
             rendered = self.render(&resp.body);
         }
 
-        self.history.push(current.clone());
         Ok(PageView {
             url: current,
             status: resp.status,
@@ -554,28 +622,27 @@ impl Browser {
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_str()))
             .collect();
-        let req = Request::post_form(action_url.clone(), &borrowed);
         let mut steps = vec![BrowseStep::FormSubmitted {
             action: form.action.clone(),
         }];
-        let resp = self.exchange(t, req, &mut now)?;
+        let (action_url, resp) = self.post_form(t, action_url, &borrowed, &mut now)?;
         // Follow a post-submit redirect if the server issues one.
-        let (final_url, resp) = if resp.location().is_some() {
-            let loc = resp.location().unwrap().to_string();
-            let next = resolve_location(&action_url, &loc).ok_or(FetchError::BadRedirect(loc))?;
-            steps.push(BrowseStep::Redirected {
-                to: next.to_string(),
-            });
-            let r = self.exchange(t, Request::get(next.clone()), &mut now)?;
-            (next, r)
-        } else {
-            (action_url, resp)
+        let (final_url, resp) = match resp.location() {
+            Some(loc) => {
+                let next = resolve_location(&action_url, loc)
+                    .ok_or_else(|| FetchError::BadRedirect(loc.to_string()))?;
+                steps.push(BrowseStep::Redirected {
+                    to: next.to_string(),
+                });
+                let mut req = Request::get(next);
+                let r = self.exchange(t, &mut req, &mut now)?;
+                (req.url, r)
+            }
+            None => (action_url, resp),
         };
         steps.push(BrowseStep::Loaded {
-            url: final_url.to_string(),
             status: resp.status.code(),
         });
-        self.history.push(final_url.clone());
         let rendered = self.render(&resp.body);
         Ok(PageView {
             url: final_url,
@@ -937,22 +1004,5 @@ mod tests {
             .unwrap();
         assert!(view.has_step(|s| matches!(s, BrowseStep::CaptchaPresent)));
         assert!(!view.has_step(|s| matches!(s, BrowseStep::CaptchaSolved)));
-    }
-
-    #[test]
-    fn history_records_final_urls() {
-        let mut v = VirtualHosting::new();
-        v.install(
-            "h.com",
-            Box::new(|_: &Request, _: &RequestCtx| Response::html("x")),
-        );
-        let mut t = DirectTransport::new(v);
-        let mut b = browser(DialogPolicy::Ignore);
-        b.visit(&mut t, &Url::https("h.com", "/a"), SimTime::ZERO)
-            .unwrap();
-        b.visit(&mut t, &Url::https("h.com", "/b"), SimTime::ZERO)
-            .unwrap();
-        assert_eq!(b.history().len(), 2);
-        assert_eq!(b.history()[1].path, "/b");
     }
 }

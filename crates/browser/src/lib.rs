@@ -28,7 +28,7 @@ pub mod rendercache;
 pub mod sbcache;
 pub mod transport;
 
-pub use driver::{BrowseStep, Browser, BrowserConfig, DialogPolicy, PageView};
+pub use driver::{BrowseStep, Browser, BrowserConfig, DialogPolicy, PageView, PassSetup};
 pub use rendercache::{RenderCache, Rendered};
 pub use sbcache::{SbLocalDb, Verdict, VerdictCache};
 pub use transport::{FetchError, Transport};

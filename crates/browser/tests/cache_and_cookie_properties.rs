@@ -80,7 +80,7 @@ proptest! {
         let mut jar = CookieJar::new();
         let now = SimTime::ZERO;
         for (name, value, host) in &cookies {
-            jar.ingest(&[format!("{name}={value}").as_str()], host, now);
+            jar.ingest([format!("{name}={value}").as_str()], host, now);
         }
         for (_, _, host) in &cookies {
             let header = jar.cookie_header(host, "/", now);

@@ -374,7 +374,7 @@ pub fn run_single_engine_baseline(cfg: &FleetMainConfig) -> Vec<ArmOutcome> {
                 &arm.url,
                 arm.reported_at,
                 cfg.volume_scale,
-                &format!("r{i}"),
+                i,
             );
             arms_out.push(ArmOutcome {
                 engine: *id,

@@ -43,11 +43,23 @@ impl FormInfo {
     /// plus password).
     pub fn looks_like_login(&self) -> bool {
         let has_user = self.fields.iter().any(|f| {
-            let n = f.name.to_ascii_lowercase();
-            f.kind == "text" || f.kind == "email" || n.contains("user") || n.contains("email")
+            f.kind == "text"
+                || f.kind == "email"
+                || contains_ignore_ascii_case(&f.name, "user")
+                || contains_ignore_ascii_case(&f.name, "email")
         });
         has_user && self.has_password_field()
     }
+}
+
+/// Whether `haystack` contains `needle` when ASCII letters are compared
+/// without case, as `haystack.to_ascii_lowercase().contains(needle)`
+/// for a lower-case `needle`, without the copy.
+fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    haystack
+        .as_bytes()
+        .windows(needle.len())
+        .any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
 }
 
 /// Everything a classifier or crawler wants to know about a page.
@@ -294,5 +306,26 @@ mod tests {
         assert!(!only_pass.forms[0].looks_like_login() || only_pass.forms[0].fields.len() > 1);
         let only_user = PageSummary::from_html("<form><input type='text' name='username'></form>");
         assert!(!only_user.forms[0].looks_like_login());
+    }
+
+    #[test]
+    fn user_field_names_match_without_ascii_case() {
+        // A `tel` input is not a user field by its type, so only the
+        // name decides.
+        let login = |name: &str| {
+            let html = format!(
+                "<form><input type='tel' name='{name}'><input type='password' name='p'></form>"
+            );
+            PageSummary::from_html(&html).forms[0].looks_like_login()
+        };
+        for name in [
+            "UserName", "EMAIL", "e-Mail", "uSeR", "login", "", "ÄnUSER", "Ｕser", "ÜSER",
+        ] {
+            let lower = name.to_ascii_lowercase();
+            let want = lower.contains("user") || lower.contains("email");
+            assert_eq!(login(name), want, "{name:?}");
+        }
+        assert!(login("UserName") && login("EMAIL") && login("ÄnUSER"));
+        assert!(!login("Ｕser") && !login("e-Mail"));
     }
 }

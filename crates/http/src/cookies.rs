@@ -196,8 +196,14 @@ impl CookieJar {
         self.cookies.push(cookie);
     }
 
-    /// Process all `Set-Cookie` headers of a response from `host`.
-    pub fn ingest(&mut self, set_cookie_headers: &[&str], host: &str, now: SimTime) {
+    /// Process all `Set-Cookie` headers of a response from `host`, in
+    /// order.
+    pub fn ingest<'a>(
+        &mut self,
+        set_cookie_headers: impl IntoIterator<Item = &'a str>,
+        host: &str,
+        now: SimTime,
+    ) {
         for h in set_cookie_headers {
             if let Some(c) = Cookie::parse_set_cookie(h, host, now) {
                 self.store(c);
@@ -295,9 +301,9 @@ mod tests {
         // The session-gate implication: a server can delete a session
         // cookie by re-setting it with Max-Age=0.
         let mut jar = CookieJar::new();
-        jar.ingest(&["PHPSESSID=x; Path=/"], "phish.com", now);
+        jar.ingest(["PHPSESSID=x; Path=/"], "phish.com", now);
         assert_eq!(jar.get("phish.com", "PHPSESSID", now), Some("x"));
-        jar.ingest(&["PHPSESSID=x; Path=/; Max-Age=0"], "phish.com", now);
+        jar.ingest(["PHPSESSID=x; Path=/; Max-Age=0"], "phish.com", now);
         assert_eq!(jar.get("phish.com", "PHPSESSID", now), None);
     }
 
@@ -385,8 +391,8 @@ mod tests {
     #[test]
     fn jar_replaces_same_name_host_path() {
         let mut jar = CookieJar::new();
-        jar.ingest(&["s=old"], "h.com", SimTime::ZERO);
-        jar.ingest(&["s=new"], "h.com", SimTime::ZERO);
+        jar.ingest(["s=old"], "h.com", SimTime::ZERO);
+        jar.ingest(["s=new"], "h.com", SimTime::ZERO);
         assert_eq!(jar.len(), 1);
         assert_eq!(jar.get("h.com", "s", SimTime::ZERO), Some("new"));
     }
@@ -394,8 +400,8 @@ mod tests {
     #[test]
     fn jar_header_joins_matching_cookies() {
         let mut jar = CookieJar::new();
-        jar.ingest(&["a=1", "b=2"], "h.com", SimTime::ZERO);
-        jar.ingest(&["c=3"], "other.com", SimTime::ZERO);
+        jar.ingest(["a=1", "b=2"], "h.com", SimTime::ZERO);
+        jar.ingest(["c=3"], "other.com", SimTime::ZERO);
         let header = jar.cookie_header("h.com", "/", SimTime::ZERO);
         assert_eq!(header, "a=1; b=2");
         assert_eq!(jar.cookie_header("nowhere.com", "/", SimTime::ZERO), "");
@@ -404,7 +410,7 @@ mod tests {
     #[test]
     fn jar_clear() {
         let mut jar = CookieJar::new();
-        jar.ingest(&["a=1"], "h.com", SimTime::ZERO);
+        jar.ingest(["a=1"], "h.com", SimTime::ZERO);
         jar.clear();
         assert!(jar.is_empty());
     }
@@ -415,7 +421,7 @@ mod tests {
         // client presents it on the next request.
         let mut jar = CookieJar::new();
         let now = SimTime::from_mins(1);
-        jar.ingest(&["PHPSESSID=deadbeef; Path=/"], "phish.com", now);
+        jar.ingest(["PHPSESSID=deadbeef; Path=/"], "phish.com", now);
         let header = jar.cookie_header("phish.com", "/login.php", now);
         assert_eq!(header, "PHPSESSID=deadbeef");
     }

@@ -58,13 +58,12 @@ impl Headers {
             .map(|(_, v)| &**v)
     }
 
-    /// All values of `name`.
-    pub fn get_all(&self, name: &str) -> Vec<&str> {
+    /// All values of `name`, in order, read in place.
+    pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
         self.entries
             .iter()
-            .filter(|(n, _)| n.eq_ignore_ascii_case(name))
+            .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| &**v)
-            .collect()
     }
 
     /// Remove all values of `name`; returns whether anything was removed.
@@ -138,9 +137,9 @@ mod tests {
         let mut h = Headers::new();
         h.append("Set-Cookie", "a=1");
         h.append("Set-Cookie", "b=2");
-        assert_eq!(h.get_all("set-cookie"), vec!["a=1", "b=2"]);
+        assert_eq!(h.get_all("set-cookie").collect::<Vec<_>>(), ["a=1", "b=2"]);
         h.set("Set-Cookie", "c=3");
-        assert_eq!(h.get_all("set-cookie"), vec!["c=3"]);
+        assert_eq!(h.get_all("set-cookie").collect::<Vec<_>>(), ["c=3"]);
     }
 
     #[test]

@@ -247,8 +247,8 @@ impl Response {
         self
     }
 
-    /// All `Set-Cookie` values.
-    pub fn set_cookies(&self) -> Vec<&str> {
+    /// All `Set-Cookie` values, in order, read in place.
+    pub fn set_cookies(&self) -> impl Iterator<Item = &str> {
         self.headers.get_all("Set-Cookie")
     }
 
@@ -329,7 +329,7 @@ mod tests {
         let r = Response::html("x")
             .with_set_cookie("PHPSESSID=abc; Path=/")
             .with_set_cookie("theme=dark");
-        assert_eq!(r.set_cookies().len(), 2);
+        assert_eq!(r.set_cookies().count(), 2);
     }
 
     #[test]

@@ -113,11 +113,25 @@ impl Url {
     /// Path plus serialized query string — what a server logs as the
     /// request target.
     pub fn target(&self) -> String {
-        if self.query.is_empty() {
-            self.path.clone()
-        } else {
-            format!("{}?{}", self.path, serialize_query(&self.query))
+        let mut out = String::new();
+        self.write_target(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Write the path and the query string (`?k=v&flag`, a parameter
+    /// with an empty value spelled as its bare key) to `out`.
+    fn write_target(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_str(&self.path)?;
+        for (i, (k, v)) in self.query.iter().enumerate() {
+            out.write_str(if i == 0 { "?" } else { "&" })?;
+            out.write_str(k)?;
+            if !v.is_empty() {
+                out.write_char('=')?;
+                out.write_str(v)?;
+            }
         }
+        Ok(())
     }
 
     /// Replace the path in place, reusing its buffer; a path without a
@@ -161,28 +175,11 @@ fn parse_query(q: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-fn serialize_query(q: &[(String, String)]) -> String {
-    q.iter()
-        .map(|(k, v)| {
-            if v.is_empty() {
-                k.clone()
-            } else {
-                format!("{k}={v}")
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("&")
-}
-
 impl fmt::Display for Url {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}://{}{}",
-            if self.https { "https" } else { "http" },
-            self.host,
-            self.target()
-        )
+        f.write_str(if self.https { "https://" } else { "http://" })?;
+        f.write_str(&self.host)?;
+        self.write_target(f)
     }
 }
 
@@ -256,6 +253,43 @@ mod tests {
         let u = Url::parse("https://h.com/p?flag&x=2").unwrap();
         assert_eq!(u.param("flag"), Some(""));
         assert_eq!(u.target(), "/p?flag&x=2");
+    }
+
+    #[test]
+    fn display_matches_golden_strings() {
+        let cases = [
+            (
+                Url::https("Site.org", "/a/b.php"),
+                "https://site.org/a/b.php",
+            ),
+            (
+                Url::parse("http://h.com/login.php").unwrap(),
+                "http://h.com/login.php",
+            ),
+            (
+                Url::https("h.com", "p.php").with_param("x", "1"),
+                "https://h.com/p.php?x=1",
+            ),
+            (
+                Url::parse("http://h.com/p?x=1&y=two&z=3").unwrap(),
+                "http://h.com/p?x=1&y=two&z=3",
+            ),
+            (
+                Url::https("h.com", "/p")
+                    .with_param("flag", "")
+                    .with_param("x", "2"),
+                "https://h.com/p?flag&x=2",
+            ),
+            (
+                Url::parse("https://h.com/p?a=&b=1").unwrap(),
+                "https://h.com/p?a&b=1",
+            ),
+        ];
+        for (url, golden) in cases {
+            assert_eq!(url.to_string(), golden);
+            let target = &golden[golden.find("://").unwrap() + 3..];
+            assert_eq!(url.target(), target[target.find('/').unwrap()..]);
+        }
     }
 
     #[test]

@@ -660,7 +660,14 @@ mod tests {
         assert!(!probe.payload_reached_by("openphish"));
         // Proper flow: GET cover, extract cookie, then POST with it.
         let resp = site.handle(&Request::get(url()), &ctx("human"));
-        let cookie = resp.set_cookies()[0].split(';').next().unwrap().to_string();
+        let cookie = resp
+            .headers
+            .get("Set-Cookie")
+            .unwrap()
+            .split(';')
+            .next()
+            .unwrap()
+            .to_string();
         let summary = PageSummary::from_html(&resp.body);
         assert!(summary.buttons.iter().any(|b| b == "Join Chat"));
         let proceed = Request::post_form(url(), &[("proceed", "1")]).with_cookie_header(&cookie);
@@ -694,7 +701,13 @@ mod tests {
 
     /// The `PHPSESSID=<id>` pair of a session-gate response.
     fn planted_cookie(resp: &Response) -> String {
-        resp.set_cookies()[0].split(';').next().unwrap().to_string()
+        resp.headers
+            .get("Set-Cookie")
+            .unwrap()
+            .split(';')
+            .next()
+            .unwrap()
+            .to_string()
     }
 
     #[test]
@@ -706,7 +719,7 @@ mod tests {
         let cookies: Vec<String> = (0..3)
             .map(|_| {
                 let resp = site.handle(&Request::get(url()), &ctx("bot"));
-                resp.set_cookies()[0].to_string()
+                resp.headers.get("Set-Cookie").unwrap().to_string()
             })
             .collect();
         assert_eq!(
@@ -727,7 +740,7 @@ mod tests {
         // Revisiting the cover keeps the session: no new cookie.
         let revisit = Request::get(url()).with_cookie_header(&cookie);
         let resp = site.handle(&revisit, &ctx("human"));
-        assert!(resp.set_cookies().is_empty());
+        assert!(!resp.headers.contains("Set-Cookie"));
         let proceed = Request::post_form(url(), &[("proceed", "1")])
             .with_cookie_header(&format!("theme=dark; {cookie}"));
         let resp = site.handle(&proceed, &ctx("human"));
@@ -934,7 +947,14 @@ mod multi_page_tests {
         let probe = s.probe();
         // Stage 1: GET plants the session.
         let resp = s.handle(&Request::get(url()), &ctx("human"));
-        let cookie = resp.set_cookies()[0].split(';').next().unwrap().to_string();
+        let cookie = resp
+            .headers
+            .get("Set-Cookie")
+            .unwrap()
+            .split(';')
+            .next()
+            .unwrap()
+            .to_string();
         // Stage 1 submit: the username goes up with the session.
         let post = Request::post_form(url(), &[("login_email", "victim@mail.com")])
             .with_cookie_header(&cookie);
@@ -958,7 +978,14 @@ mod multi_page_tests {
     fn empty_username_does_not_advance() {
         let mut s = site();
         let resp = s.handle(&Request::get(url()), &ctx("bot"));
-        let cookie = resp.set_cookies()[0].split(';').next().unwrap().to_string();
+        let cookie = resp
+            .headers
+            .get("Set-Cookie")
+            .unwrap()
+            .split(';')
+            .next()
+            .unwrap()
+            .to_string();
         let post = Request::post_form(url(), &[("login_email", "")]).with_cookie_header(&cookie);
         let resp = s.handle(&post, &ctx("bot"));
         assert!(!PageSummary::from_html(&resp.body).has_login_form());
@@ -968,7 +995,14 @@ mod multi_page_tests {
     fn join_chat_field_means_nothing_to_multipage() {
         let mut s = site();
         let resp = s.handle(&Request::get(url()), &ctx("bot"));
-        let cookie = resp.set_cookies()[0].split(';').next().unwrap().to_string();
+        let cookie = resp
+            .headers
+            .get("Set-Cookie")
+            .unwrap()
+            .split(';')
+            .next()
+            .unwrap()
+            .to_string();
         let post = Request::post_form(url(), &[("proceed", "1")]).with_cookie_header(&cookie);
         let resp = s.handle(&post, &ctx("bot"));
         assert!(!PageSummary::from_html(&resp.body).has_login_form());

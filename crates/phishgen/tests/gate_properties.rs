@@ -85,7 +85,7 @@ proptest! {
         }
         // A legitimately issued session still works afterwards.
         let resp = site.handle(&Request::get(url()), &ctx(100));
-        let cookie = resp.set_cookies()[0].split(';').next().unwrap().to_string();
+        let cookie = resp.headers.get("Set-Cookie").unwrap().split(';').next().unwrap().to_string();
         let resp = site.handle(
             &Request::post_form(url(), &[("proceed", "1")]).with_cookie_header(&cookie),
             &ctx(101),

@@ -136,10 +136,22 @@ impl DetRng {
     /// `label#` hashed once instead of once per fork: a walk over a
     /// range of clients forks one stream per client.
     pub fn indexed_forks<'a>(&'a self, label: &'a str) -> IndexedForks<'a> {
+        self.forks_after(label, "#")
+    }
+
+    /// The streams `fork(&format!("{prefix}{i}"))` for every `i`: the
+    /// prefix is hashed once and each fork hashes only the digits of
+    /// its index, so no label string is built.
+    pub fn numbered_forks<'a>(&'a self, prefix: &'a str) -> IndexedForks<'a> {
+        self.forks_after(prefix, "")
+    }
+
+    fn forks_after<'a>(&'a self, label: &'a str, sep: &'static str) -> IndexedForks<'a> {
         IndexedForks {
             parent: self,
             label,
-            label_hash: fnv1a(fnv1a(FNV_OFFSET, label.as_bytes()), b"#"),
+            sep,
+            prefix_hash: fnv1a(fnv1a(FNV_OFFSET, label.as_bytes()), sep.as_bytes()),
         }
     }
 
@@ -219,21 +231,27 @@ impl DetRng {
     }
 }
 
-/// One parent's indexed child streams under one label
-/// ([`DetRng::indexed_forks`]).
+/// One parent's child streams whose labels are one prefix followed by
+/// an index's decimal digits ([`DetRng::indexed_forks`],
+/// [`DetRng::numbered_forks`]).
 #[derive(Debug, Clone, Copy)]
 pub struct IndexedForks<'a> {
     parent: &'a DetRng,
     label: &'a str,
-    /// FNV-1a of `label#`.
-    label_hash: u64,
+    /// `"#"` for [`DetRng::indexed_forks`], empty for
+    /// [`DetRng::numbered_forks`].
+    sep: &'static str,
+    /// FNV-1a of the prefix, `label` then `sep`.
+    prefix_hash: u64,
 }
 
 impl IndexedForks<'_> {
-    /// The stream `fork_indexed(label, index)` of the parent.
+    /// The parent's stream labelled by the prefix and `index`, e.g.
+    /// `fork_indexed(label, index)` for [`DetRng::indexed_forks`].
     pub fn fork(&self, index: usize) -> DetRng {
         if fork_audit::recording() {
-            fork_audit::note(self.parent.seed, &format!("{}#{index}", self.label));
+            let spelled = format!("{}{}{index}", self.label, self.sep);
+            fork_audit::note(self.parent.seed, &spelled);
         }
         // Spelled by hand: formatting with `write!` made a cohort-table
         // build, one fork per client, about 20 % slower (10M clients on
@@ -249,7 +267,7 @@ impl IndexedForks<'_> {
                 break;
             }
         }
-        self.parent.child(fnv1a(self.label_hash, &digits[start..]))
+        self.parent.child(fnv1a(self.prefix_hash, &digits[start..]))
     }
 }
 
@@ -324,9 +342,10 @@ mod tests {
         assert_eq!(s.len(), 16, "indexed forks should be distinct streams");
     }
 
-    /// `fork_indexed(label, i)` and `indexed_forks(label).fork(i)`
-    /// against their definition: the seed and first draws of
-    /// `fork(&format!("{label}#{i}"))`.
+    /// `fork_indexed(label, i)`, `indexed_forks(label).fork(i)` and
+    /// `numbered_forks(label).fork(i)` against their definitions: the
+    /// seeds and first draws of `fork(&format!("{label}#{i}"))` and
+    /// `fork(&format!("{label}{i}"))`.
     fn assert_fork_indexed_is_spelled_fork(root: &DetRng, label: &str, i: usize) {
         let mut spelled = root.fork(&format!("{label}#{i}"));
         let mut indexed = root.fork_indexed(label, i);
@@ -338,13 +357,23 @@ mod tests {
             assert_eq!(indexed.next_u64(), want, "draw of {label}#{i}");
             assert_eq!(ranged.next_u64(), want, "ranged draw of {label}#{i}");
         }
+        let mut spelled = root.fork(&format!("{label}{i}"));
+        let mut numbered = root.numbered_forks(label).fork(i);
+        assert_eq!(numbered.seed(), spelled.seed(), "seed of {label}{i}");
+        for _ in 0..4 {
+            assert_eq!(
+                numbered.next_u64(),
+                spelled.next_u64(),
+                "draw of {label}{i}"
+            );
+        }
     }
 
     #[test]
     fn fork_indexed_equals_fork_of_the_spelled_label() {
         let root = DetRng::new(17);
         let edges = [0, 9, 10, 99, 100, u32::MAX as usize, usize::MAX];
-        for label in ["feedserve-client", "", "site#3"] {
+        for label in ["feedserve-client", "", "site#3", "report-key:r"] {
             for i in edges {
                 assert_fork_indexed_is_spelled_fork(&root, label, i);
             }
@@ -354,6 +383,13 @@ mod tests {
                 assert_eq!(
                     forks.fork(i).seed(),
                     root.fork(&format!("{label}#{i}")).seed()
+                );
+            }
+            let numbered = root.numbered_forks(label);
+            for i in edges.into_iter().rev() {
+                assert_eq!(
+                    numbered.fork(i).seed(),
+                    root.fork(&format!("{label}{i}")).seed()
                 );
             }
         }
@@ -367,10 +403,16 @@ mod tests {
         let _ = root.fork_indexed("site", 12);
         let _ = root.fork_indexed("site", 13);
         let _ = root.indexed_forks("site").fork(13);
+        let _ = root.numbered_forks("report-key:r").fork(7);
+        let _ = root.fork("report-key:r7");
         let dups = fork_audit::finish();
         assert_eq!(
             dups,
-            vec![(5, "site#12".to_string(), 2), (5, "site#13".to_string(), 2)]
+            vec![
+                (5, "report-key:r7".to_string(), 2),
+                (5, "site#12".to_string(), 2),
+                (5, "site#13".to_string(), 2)
+            ]
         );
         // Recording changes what is noted, never the stream.
         assert_eq!(audited.next_u64(), root.fork_indexed("site", 12).next_u64());
@@ -391,6 +433,7 @@ mod tests {
                 let root = DetRng::new(seed);
                 assert_fork_indexed_is_spelled_fork(&root, &label, wide);
                 assert_fork_indexed_is_spelled_fork(&root, &label, narrow);
+                assert_fork_indexed_is_spelled_fork(&root, "report-key:r", narrow);
             }
         }
     }

@@ -39,10 +39,11 @@
 //! compaction, exactly as before; `len()` tracks the alive set so the
 //! count never depends on tombstone placement.
 
+use crate::hash::BuildSymHasher;
 use crate::obs::ObsSink;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 
 /// Width of one calendar bucket in simulated milliseconds. A power of
 /// two so the floor/index arithmetic stays shift-and-mask. One second
@@ -134,10 +135,11 @@ pub struct Scheduler<E> {
     next_seq: u64,
     /// IDs scheduled and not yet popped or cancelled. `len()` is this
     /// set's size, so cancelling an already-popped ID cannot skew the
-    /// count.
-    alive: std::collections::HashSet<EventId>,
+    /// count. Both sets take an insert or removal per event, so they
+    /// hash with the simulation's fast hasher.
+    alive: HashSet<EventId, BuildSymHasher>,
     /// Lazily-deleted IDs still sitting in the ring or overflow.
-    cancelled: std::collections::HashSet<EventId>,
+    cancelled: HashSet<EventId, BuildSymHasher>,
     /// Observability sink; `Null` by default and free when disabled.
     obs: ObsSink,
 }
@@ -159,8 +161,8 @@ impl<E> Scheduler<E> {
             overflow: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            alive: std::collections::HashSet::new(),
-            cancelled: std::collections::HashSet::new(),
+            alive: HashSet::default(),
+            cancelled: HashSet::default(),
             obs: ObsSink::Null,
         }
     }

@@ -7,7 +7,8 @@
 #
 #   ./scripts/check.sh                # everything (pre-merge gate)
 #   ./scripts/check.sh --tier1        # fmt + workspace clippy + build + tests (>= TEST_FLOOR pass)
-#   ./scripts/check.sh --determinism  # full-size records vs HEAD + thread-count smokes
+#   ./scripts/check.sh --determinism  # thread-count smokes
+#   ./scripts/check.sh --regen        # rerun the artifact manifest, results/ must equal HEAD
 #   ./scripts/check.sh --perf         # quick perf baseline + scaling smoke
 #   ./scripts/check.sh --replay       # verify committed .runpack artifacts
 #
@@ -18,26 +19,29 @@
 # and require its records and packs to be byte-identical. They run at
 # reduced sizes, so each smoke keeps what it wrote in
 # target/smoke-records/ and puts back the committed files it overwrote.
-# The paper tables, sb_scale, resilience and sb_scale_50m also run at
-# full size, and their records must equal the ones committed at HEAD.
+# The regeneration stage reruns every bin of the MANIFEST below with the
+# arguments that wrote the committed artifacts, and every record and
+# pack under results/ must come out equal to the one committed at HEAD.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 run_tier1=0
 run_determinism=0
+run_regen=0
 run_perf=0
 run_replay=0
 if [ "$#" -eq 0 ]; then
-  run_tier1=1 run_determinism=1 run_perf=1 run_replay=1
+  run_tier1=1 run_determinism=1 run_regen=1 run_perf=1 run_replay=1
 fi
 for arg in "$@"; do
   case "$arg" in
     --tier1) run_tier1=1 ;;
     --determinism) run_determinism=1 ;;
+    --regen) run_regen=1 ;;
     --perf) run_perf=1 ;;
     --replay) run_replay=1 ;;
     *)
-      echo "unknown stage: $arg (expected --tier1 | --determinism | --perf | --replay)" >&2
+      echo "unknown stage: $arg (expected --tier1 | --determinism | --regen | --perf | --replay)" >&2
       exit 2
       ;;
   esac
@@ -47,11 +51,47 @@ done
 # `cargo test` run every crate's unit tests, proptests and doctests plus
 # the root package's; raise the floor when adding tests, never lower it
 # to get a pass.
-TEST_FLOOR=809
+TEST_FLOOR=816
 
 # Where the determinism smokes leave their reduced-size records and
 # packs (CI uploads this directory).
 SMOKE_DIR=target/smoke-records
+
+# Every committed record and pack under results/, with the bin and the
+# arguments that write it: one row per bin, `BIN [ARGS...] : ARTIFACTS`.
+# seed_sensitivity is committed at 12 seeds (its bin defaults to 48);
+# every other bin runs at its defaults, which are the paper-volume
+# tables and the full-size sweeps (the .runpack replay packs are always
+# recorded at fast size). BENCH_*.json hold host timings and are not
+# listed; `--regen` fails when a committed artifact has no row.
+MANIFEST='
+table1 : table1.json table1.runpack
+table2 : table2.json table2.runpack
+table3 : table3.json
+figure1 : figure1.json
+figure2 : figure2.json
+figure3 : figure3.json
+kit_probes : kit_probes.json
+traffic_timing : traffic_timing.json
+mitigated_table2 : mitigated_table2.json
+sloppy_phisher : sloppy_phisher.json
+cache_blindspot : cache_blindspot.json
+community_voting : community_voting.json
+baseline_cloaking : baseline_cloaking.json
+baseline_redirection : baseline_redirection.json
+ablation_capabilities : ablation_capabilities.json
+ablation_feeds : ablation_feeds.json
+longitudinal : longitudinal.json
+funnel : funnel.json
+fault_sweep : fault_sweep.json
+obs_report : obs_report.json obs_report.runpack
+seed_sensitivity 12 : seed_sensitivity.json
+fleet_sweep : fleet_sweep.json fleet_sweep.runpack
+fleet_chaos : fleet_chaos.json fleet_chaos.runpack
+sb_scale : sb_scale.json sb_scale.runpack
+resilience : resilience.json
+sb_scale_50m : sb_scale_50m.json sb_scale_50m.runpack
+'
 
 # Committed artifacts a running stage has overwritten, copied aside.
 # `restore` puts them back; the EXIT trap runs it too, so a failed
@@ -133,46 +173,52 @@ perf() {
   echo "BENCH_4.json present (host_parallelism: $(grep -o '"host_parallelism": *[0-9]*' results/BENCH_4.json | grep -o '[0-9]*$'), $(nproc) per nproc)"
 }
 
-# Run bins at their default arguments, require every artifact they
-# rewrite to equal the one committed at HEAD, and put the committed
-# files back: against_head WHAT "ARTIFACTS" BIN...
-against_head() {
-  local what="$1" artifacts="$2" f bin
-  shift 2
-  stash $artifacts
-  for bin in "$@"; do
-    cargo run --release -p phishsim-bench --bin "$bin"
-  done
-  for f in $artifacts; do
-    if ! git show "HEAD:$f" | cmp -s - "$f"; then
-      echo "$what $f differs from the committed one" >&2
-      exit 1
-    fi
-  done
+# Rerun every row of the MANIFEST, require each artifact to equal the
+# one committed at HEAD, and put the committed files back. Host-timing
+# records (BENCH_*.json) a bin rewrites are put back unread.
+regen() {
+  local bin args artifacts listed f
+  listed="$(mktemp)"
+  while IFS=: read -r bin artifacts; do
+    [ -n "$bin" ] || continue
+    for f in $artifacts; do echo "results/$f"; done
+  done <<<"$MANIFEST" | sort >"$listed"
+  if ! git ls-files 'results/*.json' 'results/*.runpack' | grep -v '^results/BENCH_' | sort |
+    diff - "$listed"; then
+    echo "the manifest and the artifacts committed under results/ differ (< committed, > listed)" >&2
+    rm -f "$listed"
+    exit 1
+  fi
+  # shellcheck disable=SC2046 # one path per line, no spaces
+  stash $(cat "$listed") results/BENCH_*.json
+  rm -f "$listed"
+  cargo build --release -p phishsim-bench --bins
+  # Every record is byte-identical at any thread count; two threads
+  # bound sb_scale_50m's peak RSS (~187 MB; its table build holds one
+  # row map per thread).
+  while IFS=: read -r bin artifacts; do
+    [ -n "$bin" ] || continue
+    read -r bin args <<<"$bin"
+    echo "==> $bin $args"
+    # shellcheck disable=SC2086 # ARGS split on purpose
+    PHISHSIM_SWEEP_THREADS=2 "target/release/$bin" $args >/dev/null
+    for f in $artifacts; do
+      if ! git show "HEAD:results/$f" | cmp -s - "results/$f"; then
+        echo "$bin $args: results/$f differs from the committed one" >&2
+        exit 1
+      fi
+    done
+  done <<<"$MANIFEST"
+  if [ -n "$(git ls-files --others --exclude-standard results/)" ]; then
+    echo "the bins wrote artifacts the manifest does not list:" >&2
+    git ls-files --others --exclude-standard results/ >&2
+    exit 1
+  fi
   restore
-  echo "$what records and packs equal the committed ones"
+  echo "every committed record and pack regenerates byte-identically"
 }
 
 determinism() {
-  echo "==> paper-volume tables vs the committed records"
-  # The replay packs run at fast volume, so this is the check that runs
-  # the paper-volume probe path (735,732 requests for Table 1 + Table 2)
-  # against committed bytes: each bin at its default paper arguments
-  # must rewrite its records and packs byte for byte.
-  against_head paper-volume "results/table1.json results/table1.runpack
-    results/table2.json results/table2.runpack results/kit_probes.json
-    results/traffic_timing.json" table1 table2 kit_probes traffic_timing
-
-  echo "==> sb_scale and resilience at default size vs the committed records"
-  # The smokes below run both sweeps at reduced size, one thread count
-  # against another. At their defaults (1M clients; 200k per chaos
-  # level) they must rewrite the committed bytes. resilience is the
-  # only record with feed loss and origin outages, so this is the one
-  # full-size check of the exact walk's feed-loss draws and of the
-  # exchanges a down server refuses.
-  against_head default-size "results/sb_scale.json results/sb_scale.runpack
-    results/resilience.json" sb_scale resilience
-
   echo "==> sb_scale determinism smoke (10k clients, 1 vs 4 threads)"
   smoke sb_scale 1 4 "results/sb_scale.json results/sb_scale.runpack" \
     sb_scale -- --clients 10000
@@ -187,21 +233,6 @@ determinism() {
   stash results/BENCH_5.json
   smoke sb_scale_50m 1 8 "results/sb_scale_50m.json results/sb_scale_50m.runpack" \
     sb_scale_50m -- fast
-
-  echo "==> sb_scale_50m full scale (1M/10M/50M, 2 threads) vs the committed record"
-  # The committed record comes from a full one-thread run; a full run
-  # on two threads (~13 s, ~187 MB peak on a 2-vCPU host) must
-  # reproduce it byte for byte. The thread count is pinned because the
-  # table build holds one row map per thread, so peak RSS (guarded by
-  # the bin) grows on hosts with many cores.
-  stash results/sb_scale_50m.json results/sb_scale_50m.runpack results/BENCH_5.json
-  PHISHSIM_SWEEP_THREADS=2 cargo run --release -p phishsim-bench --bin sb_scale_50m
-  if ! git show HEAD:results/sb_scale_50m.json | diff -q - results/sb_scale_50m.json; then
-    echo "full-scale sb_scale_50m record differs from the committed one" >&2
-    exit 1
-  fi
-  restore
-  echo "full-scale sb_scale_50m record equals the committed one"
 
   echo "==> obs_report determinism smoke (full volume, 1 vs 8 threads)"
   smoke obs_report 1 8 "results/obs_report.json results/obs_report.runpack" obs_report
@@ -237,6 +268,7 @@ replay() {
 [ "$run_tier1" -eq 1 ] && tier1
 [ "$run_perf" -eq 1 ] && perf
 [ "$run_determinism" -eq 1 ] && determinism
+[ "$run_regen" -eq 1 ] && regen
 [ "$run_replay" -eq 1 ] && replay
 
 echo "All requested checks passed."

@@ -14,7 +14,10 @@
 //! Another bounds a whole fast run, whose cost is per-run setup and
 //! browser visits: it fails when setup goes back to building cover
 //! sites nobody requests or stepping the monitor's poll ticks one by
-//! one.
+//! one. A third bounds each report of the fast fleet sweep, almost all
+//! one-visit dedup revalidations: it fails when a crawl pass goes back
+//! to building a browser, or a visit to formatting or copying URLs
+//! nobody reads.
 //!
 //! The feed tests bound the population walks: a cohort-table build must
 //! not allocate per client (no map per batch of clients, no formatted
@@ -25,7 +28,9 @@
 //! on the counting thread. The counts are deterministic (same seed,
 //! same calls), so the bounds cannot flake.
 
-use phishsim::experiment::{run_main_experiment, MainConfig};
+use phishsim::experiment::{
+    run_fleet_sweep_with_threads, run_main_experiment, FleetSweepConfig, MainConfig,
+};
 use phishsim::feedserve::{
     run_population_with_threads, CohortSpec, CohortTable, FeedServer, ListingEvent, MirrorConfig,
     PopulationConfig, ServerConfig,
@@ -44,8 +49,14 @@ const BUDGET_PER_REQUEST: f64 = 2.0;
 /// into each response.
 const BYTES_PER_REQUEST: f64 = 400.0;
 
-/// Allocations allowed for one `MainConfig::fast()` run.
-const FAST_RUN_BUDGET: u64 = 50_000;
+/// Allocations allowed for one `MainConfig::fast()` run (20,984
+/// measured; 27,801 while every crawl pass built a new browser).
+const FAST_RUN_BUDGET: u64 = 21_500;
+
+/// Allocations allowed per report of the fast fleet sweep, the setup of
+/// its four points included (22.63 measured; 43.22 while every crawl
+/// pass built a new browser and every visit formatted its URL).
+const FLEET_BUDGET_PER_REPORT: f64 = 23.0;
 
 /// Allocations allowed for one cohort-table build, at any population.
 const TABLE_BUILD_BUDGET: u64 = 64;
@@ -141,6 +152,27 @@ fn background_requests_stay_within_the_allocation_budget() {
     assert!(
         bytes_per_request <= BYTES_PER_REQUEST,
         "{bytes_per_request:.0} B allocated per background request, budget {BYTES_PER_REQUEST}"
+    );
+}
+
+#[test]
+fn fleet_reports_stay_within_the_allocation_budget() {
+    let cfg = FleetSweepConfig::fast();
+    let before = ALLOCS.with(Cell::get);
+    let bytes = BYTES.with(Cell::get);
+    let result = run_fleet_sweep_with_threads(&cfg, 1);
+    let allocs = ALLOCS.with(Cell::get) - before;
+    let bytes = BYTES.with(Cell::get) - bytes;
+    let reports: u64 = result.points.iter().map(|p| p.completed).sum();
+    assert_eq!(reports, 1_600, "four points of 400 reports");
+    let per_report = allocs as f64 / reports as f64;
+    eprintln!(
+        "fleet sweep, {reports} reports: {allocs} allocations ({bytes} B), \
+         {per_report:.2} per report"
+    );
+    assert!(
+        per_report <= FLEET_BUDGET_PER_REPORT,
+        "{per_report:.2} allocations per fleet report, budget {FLEET_BUDGET_PER_REPORT}"
     );
 }
 
