@@ -6,9 +6,9 @@
 //! which is what the monitoring loop (GSB Lookup API calls, half-hourly
 //! feed downloads) asks.
 
-use phishsim_http::Url;
-use phishsim_simnet::SimTime;
-use serde::{Deserialize, Serialize};
+use phishsim_http::{CanonicalKey, Url};
+use phishsim_simnet::{BuildSymHasher, SimTime};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 
 /// One engine's blacklist.
@@ -24,19 +24,34 @@ use std::collections::HashMap;
 /// assert!(!list.is_listed(&url, SimTime::from_mins(89)));
 /// assert!(list.is_listed(&url, SimTime::from_mins(90)));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Blacklist {
-    entries: HashMap<String, SimTime>,
+    /// First-listed time by canonical URL ([`Url::canonical`]): a
+    /// lookup finds its entry from the borrowed form, building no key.
+    entries: HashMap<CanonicalKey, SimTime, BuildSymHasher>,
     /// Bumped on every effective mutation; lets derived structures
     /// (the Safe-Browsing prefix store, feedserve snapshots) memoize
     /// per version instead of rebuilding per call.
     version: u64,
 }
 
-fn canonical(url: &Url) -> String {
-    // Feeds list full URLs; canonicalise without query (kits vary
-    // parameters to dodge exact-match lists).
-    url.without_query().to_string()
+/// The derived layout: `{"entries": {text: time, ...}, "version": n}`.
+impl Deserialize for Blacklist {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        #[derive(Deserialize)]
+        struct Layout {
+            entries: HashMap<String, SimTime>,
+            version: u64,
+        }
+        let Layout { entries, version } = Layout::from_value(value)?;
+        Ok(Blacklist {
+            entries: entries
+                .into_iter()
+                .map(|(text, t)| (CanonicalKey::from_text(text), t))
+                .collect(),
+            version,
+        })
+    }
 }
 
 impl Blacklist {
@@ -47,21 +62,20 @@ impl Blacklist {
 
     /// List a URL at `at`. Earlier listings win (idempotent; re-adding
     /// never moves the timestamp forward or backward to a later time).
+    /// Only a URL new to the list allocates: its key.
     pub fn add(&mut self, url: &Url, at: SimTime) {
-        let key = canonical(url);
-        let mut changed = false;
-        self.entries
-            .entry(key)
-            .and_modify(|t| {
-                if at < *t {
-                    *t = at;
-                    changed = true;
-                }
-            })
-            .or_insert_with(|| {
-                changed = true;
-                at
-            });
+        let canonical = url.canonical();
+        let changed = match self.entries.get_mut(canonical.as_key()) {
+            Some(t) if at < *t => {
+                *t = at;
+                true
+            }
+            Some(_) => false,
+            None => {
+                self.entries.insert(canonical.to_key(), at);
+                true
+            }
+        };
         if changed {
             self.version += 1;
         }
@@ -84,9 +98,9 @@ impl Blacklist {
         self.entries.values().filter(|&&t| t <= now).count()
     }
 
-    /// When the URL was first listed, if ever.
+    /// When the URL was first listed, if ever. Allocates nothing.
     pub fn listed_at(&self, url: &Url) -> Option<SimTime> {
-        self.entries.get(&canonical(url)).copied()
+        self.entries.get(url.canonical().as_key()).copied()
     }
 
     /// Whether the URL was on the list as of `now` (the Lookup-API /
@@ -112,7 +126,7 @@ impl Blacklist {
             .entries
             .iter()
             .filter(|(_, &t)| t <= now)
-            .map(|(k, &t)| (k.clone(), t))
+            .map(|(k, &t)| (k.as_str().to_string(), t))
             .collect();
         v.sort();
         v

@@ -112,9 +112,6 @@ pub struct Engine {
     /// Observability sink shared with the engine's browser.
     /// `ObsSink::Null` (the default) is inert: no events, no RNG draws.
     obs: ObsSink,
-    /// The engine's own crawler user agent, built once: the probe loop
-    /// sends it on most of its requests.
-    bot_user_agent: String,
 }
 
 /// Desktop browsers a stealthy crawl request masquerades as.
@@ -134,17 +131,6 @@ impl Engine {
         // Each engine's crawler fleet lives in its own /16.
         let base = Ipv4Sim::new(20 + (id as u8) * 10, 40 + (id as u8) * 7, 0, 0);
         let pool = IpPool::allocate(base, 16, profile.ip_pool_size, &mut pool_rng);
-        let bot_user_agent = match id {
-            EngineId::Gsb => UserAgent::Googlebot.as_str().to_string(),
-            EngineId::Ysb => {
-                "Mozilla/5.0 (compatible; YandexBot/3.0; +http://yandex.com/bots)".to_string()
-            }
-            id => format!(
-                "Mozilla/5.0 (compatible; {}-scanner/1.0; +https://{}.example/bot)",
-                id.key(),
-                id.key()
-            ),
-        };
         let browser = Browser::new(
             BrowserConfig::plain_crawler(""),
             Ipv4Sim::new(0, 0, 0, 0),
@@ -152,7 +138,6 @@ impl Engine {
         );
         Engine {
             profile,
-            bot_user_agent,
             pool,
             rng: rng.fork(&format!("engine:{}", id.key())),
             captcha_provider: None,
@@ -202,21 +187,10 @@ impl Engine {
         self.caches = RunCaches::fresh();
     }
 
-    /// Deduplication key: FNV-1a over scheme, host and path — the
-    /// identity of `url.without_query()` without building the string.
+    /// Deduplication key: the hash of the URL's canonical form
+    /// ([`Url::canonical`]), computed without building the string.
     fn report_key(url: &Url) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                hash ^= u64::from(*b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(&[u8::from(url.https)]);
-        eat(url.host.as_bytes());
-        eat(&[0]);
-        eat(url.path.as_bytes());
-        hash
+        url.canonical().hash()
     }
 
     /// Whether a fresh report of `url` at `now` would be deduplicated
@@ -289,22 +263,24 @@ impl Engine {
         &self.pool
     }
 
-    /// Replace the engine's crawler IP pool. The fleet scheduler
-    /// (see [`crate::fleet`]) swaps in the egress identities its
-    /// rotation policy selected for the current report, so cloaking
-    /// kits keyed on requester identity see the fleet's churn instead
-    /// of one static per-engine subnet.
-    pub fn set_crawl_pool(&mut self, pool: IpPool) {
-        self.pool = pool;
+    /// The engine's crawler IP pool, to refill in place. The fleet
+    /// scheduler (see [`crate::fleet`]) fills it with the egress
+    /// identities its rotation policy selected for the current report,
+    /// so cloaking kits keyed on requester identity see the fleet's
+    /// churn instead of one static per-engine subnet.
+    pub fn crawl_pool_mut(&mut self) -> &mut IpPool {
+        &mut self.pool
     }
 
     /// Draw the user agent of one crawl request: a desktop browser's
-    /// for the profile's stealth fraction of requests, else `None`, the
-    /// engine's own bot agent.
-    fn draw_disguise(&mut self) -> Option<&'static str> {
-        self.rng
-            .chance(self.profile.stealth_fraction)
-            .then(|| self.rng.pick(&DISGUISES).as_str())
+    /// for the profile's stealth fraction of requests, else the engine's
+    /// own bot agent.
+    fn draw_user_agent(&mut self) -> &'static str {
+        if self.rng.chance(self.profile.stealth_fraction) {
+            self.rng.pick(&DISGUISES).as_str()
+        } else {
+            self.profile.id.bot_user_agent()
+        }
     }
 
     /// Reset the engine's browser for one crawl pass (a first visit, a
@@ -313,11 +289,11 @@ impl Engine {
     /// (in that order). The pass's retry stream is the engine stream's
     /// `browser-retry:{n}` fork, forked only if an exchange fails.
     fn start_pass(&mut self, dialog_policy: DialogPolicy) {
-        let disguise = self.draw_disguise();
+        let user_agent = self.draw_user_agent();
         let src = self.pool.draw(&mut self.rng);
         self.browser_seq += 1;
         self.browser.reset(PassSetup {
-            user_agent: disguise.unwrap_or(&self.bot_user_agent),
+            user_agent,
             dialog_policy,
             // None for every real engine — the paper's central finding.
             // Mitigation studies plug a farm solver into the profile.
@@ -407,7 +383,7 @@ impl Engine {
             .chain(summary.images.iter().take(2))
             .chain(summary.links.iter().filter(|l| l.starts_with('/')).take(3))
             .filter(|p| p.starts_with('/'));
-        let ua = self.draw_disguise().unwrap_or(&self.bot_user_agent);
+        let ua = self.draw_user_agent();
         let mut n = 0;
         for p in paths {
             let url = Url::https(&view.url.host, p);
@@ -720,12 +696,11 @@ impl Engine {
                     self.profile.kit_probing,
                     &mut self.rng,
                 );
-                let disguise = self.draw_disguise();
+                let ua = self.draw_user_agent();
                 let probing = self.profile.kit_probing
                     && kit_probe::classify_path(path) != kit_probe::ProbeKind::Crawl;
                 req.url.set_path(path);
-                req.headers
-                    .set("User-Agent", disguise.unwrap_or(&self.bot_user_agent));
+                req.headers.set("User-Agent", ua);
                 let src = self.pool.draw(&mut self.rng);
                 match t.fetch(src, self.profile.id.key(), &req, at) {
                     Ok((resp, _))

@@ -94,15 +94,17 @@ impl EgressPool {
         self.policy
     }
 
-    /// Identities the given worker crawls the next report through, as
-    /// an [`IpPool`] the engine draws per-browser sources from.
+    /// Fill `pool`, the [`IpPool`] the engine draws per-browser sources
+    /// from, with the identities the given worker crawls the next report
+    /// through. The pool's buffer is reused: a fill allocates nothing
+    /// once the buffer holds `per_report` addresses.
     ///
     /// The starting offset is a pure function of the policy's inputs:
     /// worker id for [`RotationPolicy::Sticky`], a per-report cursor
     /// for [`RotationPolicy::PerReport`], the simulated-time window
     /// for [`RotationPolicy::Timed`] — so a replay reproduces the
     /// exact identity schedule.
-    pub fn pool_for(&mut self, worker: usize, now: SimTime) -> IpPool {
+    pub fn fill_pool(&mut self, worker: usize, now: SimTime, pool: &mut IpPool) {
         let n = self.identities.len() as u64;
         let offset = match self.policy {
             RotationPolicy::Sticky => worker as u64 * self.per_report as u64,
@@ -124,14 +126,12 @@ impl EgressPool {
                     .wrapping_add(worker as u64 * self.per_report as u64)
             }
         };
-        let addrs: Vec<Ipv4Sim> = (0..self.per_report as u64)
-            .map(|i| {
-                let idx = ((offset + i) % n) as usize;
-                self.used[idx] += 1;
-                self.identities[idx].addr
-            })
-            .collect();
-        IpPool::from_addrs(addrs)
+        let (identities, used) = (&self.identities, &mut self.used);
+        pool.refill((0..self.per_report as u64).map(|i| {
+            let idx = ((offset + i) % n) as usize;
+            used[idx] += 1;
+            identities[idx].addr
+        }));
     }
 
     /// How many rotations the policy performed.
@@ -159,14 +159,22 @@ mod tests {
         EgressPool::allocate(Ipv4Sim::new(77, 10, 0, 0), 16, 2, policy, &mut rng)
     }
 
+    /// The addresses `fill_pool` puts in a pool.
+    fn addrs_for(p: &mut EgressPool, worker: usize, now: SimTime) -> Vec<Ipv4Sim> {
+        let mut pool = IpPool::from_addrs(vec![Ipv4Sim::new(1, 2, 3, 4); 5]);
+        p.fill_pool(worker, now, &mut pool);
+        pool.addrs().to_vec()
+    }
+
     #[test]
     fn sticky_workers_keep_their_slice() {
         let mut p = pool(RotationPolicy::Sticky);
-        let a1 = p.pool_for(0, SimTime::ZERO);
-        let a2 = p.pool_for(0, SimTime::from_hours(5));
-        assert_eq!(a1.addrs(), a2.addrs(), "sticky slice never moves");
-        let b = p.pool_for(1, SimTime::ZERO);
-        assert_ne!(a1.addrs(), b.addrs(), "workers get distinct slices");
+        let a1 = addrs_for(&mut p, 0, SimTime::ZERO);
+        let a2 = addrs_for(&mut p, 0, SimTime::from_hours(5));
+        assert_eq!(a1, a2, "sticky slice never moves");
+        assert_eq!(a1.len(), 2, "a fill replaces the pool's addresses");
+        let b = addrs_for(&mut p, 1, SimTime::ZERO);
+        assert_ne!(a1, b, "workers get distinct slices");
         assert_eq!(p.rotations(), 0);
     }
 
@@ -175,9 +183,7 @@ mod tests {
         let mut p = pool(RotationPolicy::PerReport);
         let mut seen = std::collections::HashSet::new();
         for i in 0..8 {
-            for a in p.pool_for(0, SimTime::from_mins(i)).addrs() {
-                seen.insert(*a);
-            }
+            seen.extend(addrs_for(&mut p, 0, SimTime::from_mins(i)));
         }
         assert_eq!(seen.len(), 16, "8 reports x 2 identities cover the pool");
         assert_eq!(p.rotations(), 8);
@@ -187,11 +193,11 @@ mod tests {
     #[test]
     fn timed_rotation_is_a_function_of_the_window() {
         let mut p = pool(RotationPolicy::Timed { period_mins: 30 });
-        let w0 = p.pool_for(3, SimTime::from_mins(5));
-        let w0_again = p.pool_for(3, SimTime::from_mins(25));
-        assert_eq!(w0.addrs(), w0_again.addrs(), "same window, same identity");
-        let w1 = p.pool_for(3, SimTime::from_mins(35));
-        assert_ne!(w0.addrs(), w1.addrs(), "next window rotates");
+        let w0 = addrs_for(&mut p, 3, SimTime::from_mins(5));
+        let w0_again = addrs_for(&mut p, 3, SimTime::from_mins(25));
+        assert_eq!(w0, w0_again, "same window, same identity");
+        let w1 = addrs_for(&mut p, 3, SimTime::from_mins(35));
+        assert_ne!(w0, w1, "next window rotates");
     }
 
     #[test]
@@ -199,11 +205,7 @@ mod tests {
         let run = || {
             let mut p = pool(RotationPolicy::PerReport);
             (0..20)
-                .flat_map(|i| {
-                    p.pool_for(i % 4, SimTime::from_mins(i as u64))
-                        .addrs()
-                        .to_vec()
-                })
+                .flat_map(|i| addrs_for(&mut p, i % 4, SimTime::from_mins(i as u64)))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());

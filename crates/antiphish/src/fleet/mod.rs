@@ -408,7 +408,8 @@ impl Fleet<'_> {
             self.counters.incr("fleet.stolen");
             self.obs.point("fleet.steal", &arrival.feed, now);
         }
-        engine.set_crawl_pool(self.egress.pool_for(w as usize, dispatched_at));
+        self.egress
+            .fill_pool(w as usize, dispatched_at, engine.crawl_pool_mut());
         let parent = self.spans.get(&report.idx).copied();
         let crawl_span = self
             .obs

@@ -14,6 +14,7 @@ use crate::classifier::ClassifierMode;
 use crate::intake::ReportChannel;
 use phishsim_browser::DialogPolicy;
 use phishsim_captcha::SolverProfile;
+use phishsim_http::UserAgent;
 use serde::{Deserialize, Serialize};
 
 /// The seven evaluated engines.
@@ -72,6 +73,28 @@ impl EngineId {
             EngineId::PhishTank => "phishtank",
             EngineId::SmartScreen => "smartscreen",
             EngineId::Ysb => "ysb",
+        }
+    }
+
+    /// The engine's own crawler `User-Agent`, sent by every request it
+    /// does not disguise as a desktop browser's.
+    pub fn bot_user_agent(self) -> &'static str {
+        match self {
+            EngineId::Gsb => UserAgent::Googlebot.as_str(),
+            EngineId::Ysb => "Mozilla/5.0 (compatible; YandexBot/3.0; +http://yandex.com/bots)",
+            EngineId::NetCraft => {
+                "Mozilla/5.0 (compatible; netcraft-scanner/1.0; +https://netcraft.example/bot)"
+            }
+            EngineId::Apwg => "Mozilla/5.0 (compatible; apwg-scanner/1.0; +https://apwg.example/bot)",
+            EngineId::OpenPhish => {
+                "Mozilla/5.0 (compatible; openphish-scanner/1.0; +https://openphish.example/bot)"
+            }
+            EngineId::PhishTank => {
+                "Mozilla/5.0 (compatible; phishtank-scanner/1.0; +https://phishtank.example/bot)"
+            }
+            EngineId::SmartScreen => {
+                "Mozilla/5.0 (compatible; smartscreen-scanner/1.0; +https://smartscreen.example/bot)"
+            }
         }
     }
 
@@ -356,6 +379,24 @@ impl EngineProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bot_user_agents_are_the_formatted_scanner_strings() {
+        for id in EngineId::all() {
+            let expected = match id {
+                EngineId::Gsb => UserAgent::Googlebot.as_str().to_string(),
+                EngineId::Ysb => {
+                    "Mozilla/5.0 (compatible; YandexBot/3.0; +http://yandex.com/bots)".to_string()
+                }
+                id => format!(
+                    "Mozilla/5.0 (compatible; {}-scanner/1.0; +https://{}.example/bot)",
+                    id.key(),
+                    id.key()
+                ),
+            };
+            assert_eq!(id.bot_user_agent(), expected, "{id}");
+        }
+    }
 
     #[test]
     fn only_gsb_confirms_dialogs() {

@@ -26,9 +26,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Full 64-bit hash of a canonicalised URL (query stripped, as the
-/// real canonicalisation collapses most expressions).
+/// real canonicalisation collapses most expressions): the hash of
+/// [`Url::canonical`].
 pub fn full_hash(url: &Url) -> u64 {
-    url.without_query().privacy_hash()
+    url.canonical().hash()
 }
 
 /// The 32-bit prefix the client shares with the server.

@@ -139,7 +139,7 @@ fn detects(caps: Caps, technique: EvasionTechnique) -> bool {
     let dep = deploy_armed_site(&mut world, &domain, Brand::PayPal, technique, SimTime::ZERO);
 
     let config = BrowserConfig {
-        user_agent: phishsim_http::UserAgent::Chrome.as_str().to_string(),
+        user_agent: phishsim_http::UserAgent::Chrome.as_str().into(),
         dialog_policy: if caps.dialogs {
             DialogPolicy::Confirm
         } else {

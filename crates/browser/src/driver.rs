@@ -17,6 +17,7 @@ use phishsim_html::{FormInfo, PageSummary, ScriptEffect};
 use phishsim_http::{Body, CookieJar, Request, Response, Status, Url};
 use phishsim_simnet::{DetRng, Ipv4Sim, ObsSink, RetryPolicy, SimDuration, SimTime, SpanId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// How the browser reacts to modal dialogs (alert/confirm boxes).
@@ -39,8 +40,9 @@ pub enum DialogPolicy {
 /// A browser capability profile.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BrowserConfig {
-    /// `User-Agent` presented on every request.
-    pub user_agent: String,
+    /// `User-Agent` presented on every request; a `&'static str` agent
+    /// goes out on each request without a copy.
+    pub user_agent: Cow<'static, str>,
     /// Reaction to modal dialogs.
     pub dialog_policy: DialogPolicy,
     /// CAPTCHA-solving capability, if any.
@@ -57,7 +59,7 @@ impl BrowserConfig {
     /// CAPTCHAs.
     pub fn human_firefox() -> Self {
         BrowserConfig {
-            user_agent: phishsim_http::UserAgent::Firefox.as_str().to_string(),
+            user_agent: phishsim_http::UserAgent::Firefox.as_str().into(),
             dialog_policy: DialogPolicy::Confirm,
             captcha_solver: Some(SolverProfile::human()),
             max_redirects: 5,
@@ -66,9 +68,9 @@ impl BrowserConfig {
     }
 
     /// A plain crawler: ignores dialogs, cannot solve CAPTCHAs.
-    pub fn plain_crawler(user_agent: &str) -> Self {
+    pub fn plain_crawler(user_agent: impl Into<Cow<'static, str>>) -> Self {
         BrowserConfig {
-            user_agent: user_agent.to_string(),
+            user_agent: user_agent.into(),
             dialog_policy: DialogPolicy::Ignore,
             captcha_solver: None,
             max_redirects: 5,
@@ -153,7 +155,7 @@ impl PageView {
 #[derive(Debug, Clone, Copy)]
 pub struct PassSetup<'a> {
     /// `User-Agent` of every request of the pass.
-    pub user_agent: &'a str,
+    pub user_agent: &'static str,
     /// Reaction to modal dialogs.
     pub dialog_policy: DialogPolicy,
     /// CAPTCHA-solving capability, if any.
@@ -237,15 +239,14 @@ impl Browser {
 
     /// Begin a new pass as the empty profile a new browser shows: no
     /// cookies, no Safe-Browsing state, no retries counted, and every
-    /// setting taken from `setup`. The user agent is copied into the
-    /// existing buffer, and the render cache is replaced only when
-    /// `setup` names another one.
+    /// setting taken from `setup`. The user agent is kept by
+    /// reference, and the render cache is replaced only when `setup`
+    /// names another one.
     pub fn reset(&mut self, setup: PassSetup<'_>) {
         self.jar.clear();
         self.sb_cache = SbLocalDb::default_ttl();
         self.retry_seq = 0;
-        self.config.user_agent.clear();
-        self.config.user_agent.push_str(setup.user_agent);
+        self.config.user_agent = Cow::Borrowed(setup.user_agent);
         self.config.dialog_policy = setup.dialog_policy;
         self.config.captcha_solver = setup.captcha_solver.cloned();
         self.captcha_provider = setup.captcha_provider.cloned();
@@ -352,10 +353,11 @@ impl Browser {
         req: &mut Request,
         now: &mut SimTime,
     ) -> Result<Response, FetchError> {
-        req.headers.set("User-Agent", &self.config.user_agent);
+        req.headers
+            .set("User-Agent", self.config.user_agent.clone());
         let cookie = self.jar.cookie_header(&req.url.host, &req.url.path, *now);
         if !cookie.is_empty() {
-            req.headers.set("Cookie", &cookie);
+            req.headers.set("Cookie", cookie);
         }
         let (resp, rtt) = self.fetch_with_retry(t, req, now)?;
         *now += rtt;

@@ -17,9 +17,9 @@
 //! hit/miss/expiry counters as a `simnet::metrics::CounterSet`.
 
 use phishsim_feedserve::PrefixStore;
-use phishsim_http::Url;
+use phishsim_http::{CanonicalKey, Url};
 use phishsim_simnet::metrics::CounterSet;
-use phishsim_simnet::{SimDuration, SimTime};
+use phishsim_simnet::{BuildSymHasher, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -39,8 +39,8 @@ struct Entry {
     expires_at: SimTime,
 }
 
-/// A per-client verdict cache keyed by URL (without query, as the
-/// hashed-prefix scheme effectively canonicalises).
+/// A per-client verdict cache keyed by the canonical URL
+/// ([`Url::canonical`], the form the hashed-prefix scheme hashes).
 ///
 /// ```
 /// use phishsim_browser::{Verdict, VerdictCache};
@@ -57,7 +57,7 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct VerdictCache {
     ttl: SimDuration,
-    entries: HashMap<String, Entry>,
+    entries: HashMap<CanonicalKey, Entry, BuildSymHasher>,
     /// Count of lookups answered from cache.
     pub hits: u64,
     /// Count of lookups that had to go to the server.
@@ -73,7 +73,7 @@ impl VerdictCache {
     pub fn new(ttl: SimDuration) -> Self {
         VerdictCache {
             ttl,
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             hits: 0,
             misses: 0,
             expiries: 0,
@@ -85,13 +85,9 @@ impl VerdictCache {
         VerdictCache::new(SimDuration::from_mins(30))
     }
 
-    fn key(url: &Url) -> String {
-        url.without_query().to_string()
-    }
-
     /// Look up a verdict; `None` means the client must ask the server.
     pub fn lookup(&mut self, url: &Url, now: SimTime) -> Option<Verdict> {
-        match self.entries.get(&Self::key(url)) {
+        match self.entries.get(url.canonical().as_key()) {
             Some(e) if e.expires_at > now => {
                 self.hits += 1;
                 Some(e.verdict)
@@ -118,15 +114,20 @@ impl VerdictCache {
         c
     }
 
-    /// Store a verdict obtained from the server at `now`.
+    /// Store a verdict obtained from the server at `now`. Only a URL
+    /// new to the cache allocates: its key.
     pub fn store(&mut self, url: &Url, verdict: Verdict, now: SimTime) {
-        self.entries.insert(
-            Self::key(url),
-            Entry {
-                verdict,
-                expires_at: now + self.ttl,
-            },
-        );
+        let entry = Entry {
+            verdict,
+            expires_at: now + self.ttl,
+        };
+        let canonical = url.canonical();
+        match self.entries.get_mut(canonical.as_key()) {
+            Some(e) => *e = entry,
+            None => {
+                self.entries.insert(canonical.to_key(), entry);
+            }
+        }
     }
 
     /// The configured TTL.
@@ -158,7 +159,7 @@ impl VerdictCache {
 /// scenarios (the E5 TTL sweep, the figure-3 walkthrough) are
 /// unchanged.
 ///
-/// The full hash is `url.without_query().privacy_hash()` — the same
+/// The full hash is `url.canonical().hash()` — the same
 /// convention the antiphish-side Update API server uses, so a store
 /// produced there (or by a `feedserve::FeedServer`) matches here.
 #[derive(Debug, Clone)]
@@ -217,7 +218,7 @@ impl SbLocalDb {
     fn gate_passes(&mut self, url: &Url) -> bool {
         let pass = match &self.prefix_store {
             None => true,
-            Some(store) => store.contains_hash(url.without_query().privacy_hash()),
+            Some(store) => store.contains_hash(url.canonical().hash()),
         };
         if pass {
             self.prefix_pass += 1;
@@ -383,9 +384,7 @@ mod tests {
     fn installed_store_answers_clean_urls_locally() {
         let listed = url("https://victim.com/account/verify.php");
         let clean = url("https://innocent.org/home");
-        let store = Arc::new(PrefixStore::from_hashes([listed
-            .without_query()
-            .privacy_hash()]));
+        let store = Arc::new(PrefixStore::from_hashes([listed.canonical().hash()]));
         let mut db = SbLocalDb::default_ttl();
         db.install(store, 7);
         assert_eq!(db.version(), 7);

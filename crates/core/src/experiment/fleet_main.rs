@@ -368,7 +368,7 @@ pub fn run_single_engine_baseline(cfg: &FleetMainConfig) -> Vec<ArmOutcome> {
         );
         for (i, arm) in arms.iter().enumerate() {
             let w = hosting_shard(&arm.url.host, cfg.fleet.workers);
-            engine.set_crawl_pool(egress.pool_for(w, arm.reported_at));
+            egress.fill_pool(w, arm.reported_at, engine.crawl_pool_mut());
             let outcome = engine.process_report_keyed(
                 &mut world,
                 &arm.url,

@@ -6,10 +6,11 @@
 //! carries both concerns: validation/normalisation and keyword
 //! extraction.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Map, Serialize, Value};
 use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// Classification of a top-level domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -56,10 +57,14 @@ impl std::error::Error for NameError {}
 
 /// A validated, lower-cased domain name (registrable domain, i.e. one
 /// label plus a known TLD, e.g. `green-energy.com`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+///
+/// A clone copies nothing: the label is shared and the TLD is one of
+/// the simulation's known TLDs. Zones, registrations and resolver
+/// cache entries each keep a clone of the name they are about.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DomainName {
-    sld: String,
-    tld: String,
+    sld: Arc<str>,
+    tld: &'static str,
 }
 
 fn valid_label(label: &str) -> bool {
@@ -98,12 +103,15 @@ impl DomainName {
         if !valid_label(tld) || tld.chars().any(|c| c.is_ascii_digit()) {
             return Err(NameError::BadLabel(tld.to_string()));
         }
-        if !LEGACY.contains(&tld) && !NEW_GTLDS.contains(&tld) && !CCTLDS.contains(&tld) {
-            return Err(NameError::UnknownTld(tld.to_string()));
-        }
+        let tld = LEGACY
+            .iter()
+            .chain(NEW_GTLDS)
+            .chain(CCTLDS)
+            .find(|&&known| known == tld)
+            .ok_or_else(|| NameError::UnknownTld(tld.to_string()))?;
         Ok(DomainName {
-            sld: sld.to_string(),
-            tld: tld.to_string(),
+            sld: Arc::from(sld),
+            tld,
         })
     }
 
@@ -113,15 +121,15 @@ impl DomainName {
     }
 
     /// The top-level domain (without dot).
-    pub fn tld(&self) -> &str {
-        &self.tld
+    pub fn tld(&self) -> &'static str {
+        self.tld
     }
 
     /// Classify the TLD.
     pub fn tld_kind(&self) -> TldKind {
-        if LEGACY.contains(&self.tld.as_str()) {
+        if LEGACY.contains(&self.tld) {
             TldKind::LegacyGtld
-        } else if NEW_GTLDS.contains(&self.tld.as_str()) {
+        } else if NEW_GTLDS.contains(&self.tld) {
             TldKind::NewGtld
         } else {
             TldKind::CcTld
@@ -155,6 +163,30 @@ impl fmt::Display for DomainName {
     }
 }
 
+/// The layout of two `String` fields, `{"sld": .., "tld": ..}`.
+impl Serialize for DomainName {
+    fn to_value(&self) -> Value {
+        Value::Object(Map::from([
+            ("sld".to_string(), self.sld().to_value()),
+            ("tld".to_string(), self.tld.to_value()),
+        ]))
+    }
+}
+
+/// Reads the layout [`Serialize`] writes; the name must be valid.
+impl Deserialize for DomainName {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let field = |name: &str| {
+            value
+                .get(name)
+                .and_then(Value::as_str)
+                .ok_or_else(|| DeError::custom(format!("DomainName: missing field `{name}`")))
+        };
+        DomainName::parse(&format!("{}.{}", field("sld")?, field("tld")?))
+            .map_err(|e| DeError::custom(e.to_string()))
+    }
+}
+
 impl FromStr for DomainName {
     type Err = NameError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
@@ -173,6 +205,31 @@ mod tests {
         assert_eq!(d.sld(), "green-energy");
         assert_eq!(d.tld(), "com");
         assert_eq!(d.tld_kind(), TldKind::LegacyGtld);
+    }
+
+    #[test]
+    fn serde_layout_is_the_derived_one() {
+        #[derive(Serialize)]
+        struct Derived {
+            sld: String,
+            tld: String,
+        }
+        let d = DomainName::parse("green-energy.online").unwrap();
+        let derived = Derived {
+            sld: "green-energy".to_string(),
+            tld: "online".to_string(),
+        };
+        assert_eq!(d.to_value(), derived.to_value());
+        assert_eq!(DomainName::from_value(&d.to_value()).unwrap(), d);
+        assert!(DomainName::from_value(&Value::Bool(true)).is_err());
+    }
+
+    #[test]
+    fn clones_share_the_label() {
+        let d = DomainName::parse("green-energy.com").unwrap();
+        let c = d.clone();
+        assert!(Arc::ptr_eq(&d.sld, &c.sld));
+        assert_eq!(c, d);
     }
 
     #[test]

@@ -10,6 +10,12 @@
 use crate::name::DomainName;
 use phishsim_simnet::Ipv4Sim;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+
+/// The hosting provider's primary name server.
+pub(crate) const NS1: &str = "ns1.dns-host.net";
+/// The hosting provider's secondary name server.
+const NS2: &str = "ns2.dns-host.net";
 
 /// The record types the simulation understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -26,18 +32,19 @@ pub enum RecordType {
     Ds,
 }
 
-/// The data carried by one record.
+/// The data carried by one record. Name-server host names are the
+/// provider's constants, held without a copy.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RecordData {
     /// SOA: primary NS and a serial number.
     Soa {
         /// Primary name-server host name.
-        mname: String,
+        mname: Cow<'static, str>,
         /// Zone serial.
         serial: u32,
     },
     /// NS: name-server host name.
-    Ns(String),
+    Ns(Cow<'static, str>),
     /// A: an IPv4 address.
     A(Ipv4Sim),
     /// TXT: text payload.
@@ -82,51 +89,39 @@ pub struct Zone {
 impl Zone {
     /// A conventional hosting zone: SOA + two NS + one A record, with the
     /// given serial. `dnssec` adds a DS record (the paper deploys DNSSEC
-    /// for all its domains).
+    /// for all its domains). The record list is the zone's one
+    /// allocation: each record shares the origin's name.
     pub fn hosting(origin: DomainName, addr: Ipv4Sim, serial: u32, dnssec: bool) -> Self {
-        let ns1 = "ns1.dns-host.net".to_string();
-        let ns2 = "ns2.dns-host.net".to_string();
-        let mut records = vec![
-            Record {
-                name: origin.clone(),
-                ttl: 3600,
-                data: RecordData::Soa {
-                    mname: ns1.clone(),
+        let record = |ttl, data| Record {
+            name: origin.clone(),
+            ttl,
+            data,
+        };
+        let mut records = Vec::with_capacity(5);
+        records.extend([
+            record(
+                3600,
+                RecordData::Soa {
+                    mname: NS1.into(),
                     serial,
                 },
-            },
-            Record {
-                name: origin.clone(),
-                ttl: 3600,
-                data: RecordData::Ns(ns1),
-            },
-            Record {
-                name: origin.clone(),
-                ttl: 3600,
-                data: RecordData::Ns(ns2),
-            },
-            Record {
-                name: origin.clone(),
-                ttl: 300,
-                data: RecordData::A(addr),
-            },
-        ];
+            ),
+            record(3600, RecordData::Ns(NS1.into())),
+            record(3600, RecordData::Ns(NS2.into())),
+            record(300, RecordData::A(addr)),
+        ]);
         if dnssec {
-            records.push(Record {
-                name: origin.clone(),
-                ttl: 3600,
-                data: RecordData::Ds((serial % u16::MAX as u32) as u16),
-            });
+            records.push(record(
+                3600,
+                RecordData::Ds((serial % u16::MAX as u32) as u16),
+            ));
         }
         Zone { origin, records }
     }
 
-    /// All records of a given type.
-    pub fn records_of(&self, rtype: RecordType) -> Vec<&Record> {
-        self.records
-            .iter()
-            .filter(|r| r.data.rtype() == rtype)
-            .collect()
+    /// All records of a given type, in zone order.
+    pub fn records_of(&self, rtype: RecordType) -> impl Iterator<Item = &Record> {
+        self.records.iter().filter(move |r| r.data.rtype() == rtype)
     }
 
     /// The zone's A record address, if any.
@@ -139,7 +134,7 @@ impl Zone {
 
     /// Whether the zone carries a DS record (DNSSEC-enabled).
     pub fn has_dnssec(&self) -> bool {
-        !self.records_of(RecordType::Ds).is_empty()
+        self.records_of(RecordType::Ds).next().is_some()
     }
 }
 
@@ -154,8 +149,8 @@ mod tests {
     #[test]
     fn hosting_zone_shape() {
         let z = Zone::hosting(origin(), Ipv4Sim::new(10, 0, 0, 1), 1, false);
-        assert_eq!(z.records_of(RecordType::Soa).len(), 1);
-        assert_eq!(z.records_of(RecordType::Ns).len(), 2);
+        assert_eq!(z.records_of(RecordType::Soa).count(), 1);
+        assert_eq!(z.records_of(RecordType::Ns).count(), 2);
         assert_eq!(z.address(), Some(Ipv4Sim::new(10, 0, 0, 1)));
         assert!(!z.has_dnssec());
     }
@@ -164,7 +159,7 @@ mod tests {
     fn dnssec_zone_has_ds() {
         let z = Zone::hosting(origin(), Ipv4Sim::new(10, 0, 0, 1), 7, true);
         assert!(z.has_dnssec());
-        assert_eq!(z.records_of(RecordType::Ds).len(), 1);
+        assert_eq!(z.records_of(RecordType::Ds).count(), 1);
     }
 
     #[test]

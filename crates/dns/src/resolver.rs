@@ -7,7 +7,7 @@
 //! governed by record TTLs.
 
 use crate::name::DomainName;
-use crate::records::{Record, RecordData, RecordType, Zone};
+use crate::records::{Record, RecordData, RecordType, Zone, NS1};
 use crate::registry::Registry;
 use phishsim_simnet::{BuildSymHasher, SimDuration, SimTime};
 use std::collections::HashMap;
@@ -77,11 +77,7 @@ impl<'r> Authority<'r> {
     fn confirms(&self, entry: &CacheEntry, rtype: RecordType) -> bool {
         match self {
             Authority::Zone(zone) => {
-                entry.rcode == Rcode::NoError
-                    && entry
-                        .answers
-                        .iter()
-                        .eq(zone.records.iter().filter(|r| r.data.rtype() == rtype))
+                entry.rcode == Rcode::NoError && entry.answers.iter().eq(zone.records_of(rtype))
             }
             Authority::Synthetic => false,
             Authority::NxDomain => entry.rcode == Rcode::NxDomain,
@@ -92,7 +88,7 @@ impl<'r> Authority<'r> {
     fn answer(&self, name: &DomainName, rtype: RecordType) -> (Rcode, Vec<Record>) {
         match self {
             Authority::Zone(zone) => {
-                let answers: Vec<Record> = zone.records_of(rtype).into_iter().cloned().collect();
+                let answers: Vec<Record> = zone.records_of(rtype).cloned().collect();
                 (Rcode::NoError, answers)
             }
             Authority::Synthetic => {
@@ -100,10 +96,10 @@ impl<'r> Authority<'r> {
                 // answer on demand rather than storing a zone per domain.
                 let data = match rtype {
                     RecordType::Soa => Some(RecordData::Soa {
-                        mname: "ns1.dns-host.net".to_string(),
+                        mname: NS1.into(),
                         serial: 1,
                     }),
-                    RecordType::Ns => Some(RecordData::Ns("ns1.dns-host.net".to_string())),
+                    RecordType::Ns => Some(RecordData::Ns(NS1.into())),
                     _ => None,
                 };
                 let answers = data

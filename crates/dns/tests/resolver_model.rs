@@ -215,10 +215,10 @@ impl ModelRegistry {
         }
         let data = match rtype {
             RecordType::Soa => Some(RecordData::Soa {
-                mname: "ns1.dns-host.net".to_string(),
+                mname: "ns1.dns-host.net".into(),
                 serial: 1,
             }),
-            RecordType::Ns => Some(RecordData::Ns("ns1.dns-host.net".to_string())),
+            RecordType::Ns => Some(RecordData::Ns("ns1.dns-host.net".into())),
             _ => None,
         };
         let answers = data

@@ -257,21 +257,14 @@ impl Extension {
         verdict
     }
 
+    /// The URL as the extension sends it: whole, or in its canonical
+    /// form when it strips parameters; as text, or hashed.
     fn payload_for(&self, url: &Url) -> TelemetryPayload {
-        if self.profile.sends_plain_url {
-            let sent = if self.profile.sends_params {
-                url.clone()
-            } else {
-                url.without_query()
-            };
-            TelemetryPayload::PlainUrl(sent.to_string())
-        } else {
-            let sent = if self.profile.sends_params {
-                url.clone()
-            } else {
-                url.without_query()
-            };
-            TelemetryPayload::HashedUrl(sent.privacy_hash())
+        match (self.profile.sends_plain_url, self.profile.sends_params) {
+            (true, true) => TelemetryPayload::PlainUrl(url.to_string()),
+            (true, false) => TelemetryPayload::PlainUrl(url.canonical().to_string()),
+            (false, true) => TelemetryPayload::HashedUrl(url.privacy_hash()),
+            (false, false) => TelemetryPayload::HashedUrl(url.canonical().hash()),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Case-insensitive header map.
 
-use serde::{DeError, Deserialize, Map, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// A header name or value: static text (the fixed headers every
@@ -8,7 +8,7 @@ use std::borrow::Cow;
 type Text = Cow<'static, str>;
 
 /// An ordered, case-insensitive multimap of HTTP headers.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Headers {
     entries: Vec<(Text, Text)>,
 }
@@ -27,27 +27,23 @@ impl Headers {
     }
 
     /// Replace all values of `name` with a single value, appended last.
+    /// As for [`Headers::append`], a `&'static str` is stored by
+    /// reference and a `String` is moved in.
     ///
     /// When `name`, spelled the same, is already the last header and
-    /// has no other value, its value is overwritten in place, reusing
-    /// the buffer: the same result without allocating, which is what a
+    /// has no other value, its value is replaced in place: the same
+    /// result without touching the rest of the list, which is what a
     /// request reused across many sends relies on.
-    pub fn set(&mut self, name: impl Into<Text>, value: &str) {
+    pub fn set(&mut self, name: impl Into<Text>, value: impl Into<Text>) {
         let name = name.into();
         if let Some(((last_name, last_value), rest)) = self.entries.split_last_mut() {
             if *last_name == name && !rest.iter().any(|(n, _)| n.eq_ignore_ascii_case(&name)) {
-                match last_value {
-                    Cow::Owned(buf) => {
-                        buf.clear();
-                        buf.push_str(value);
-                    }
-                    Cow::Borrowed(_) => *last_value = Cow::Owned(value.to_string()),
-                }
+                *last_value = value.into();
                 return;
             }
         }
         self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(&name));
-        self.append(name, value.to_string());
+        self.append(name, value);
     }
 
     /// First value of `name`, case-insensitively.
@@ -91,30 +87,6 @@ impl Headers {
     /// True if no headers are present.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-}
-
-/// The derived layout of a `Vec<(String, String)>` field:
-/// `{"entries": [[name, value], ...]}`.
-impl Serialize for Headers {
-    fn to_value(&self) -> Value {
-        let entries: Vec<(&str, &str)> = self.iter().collect();
-        Value::Object(Map::from([("entries".to_string(), entries.to_value())]))
-    }
-}
-
-impl Deserialize for Headers {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = value
-            .get("entries")
-            .ok_or_else(|| DeError::custom("Headers: missing field `entries`"))?;
-        let entries: Vec<(String, String)> = Vec::from_value(entries)?;
-        Ok(Headers {
-            entries: entries
-                .into_iter()
-                .map(|(n, v)| (n.into(), v.into()))
-                .collect(),
-        })
     }
 }
 
@@ -193,6 +165,7 @@ mod tests {
 
     #[test]
     fn serde_layout_is_the_derived_one() {
+        use serde::Value;
         #[derive(Serialize)]
         struct Derived {
             entries: Vec<(String, String)>,

@@ -48,5 +48,5 @@ pub use hosting::{hosting_shard, Handler, HostingFarm, RequestCtx, VirtualHostin
 pub use message::{Method, Request, Response, Status};
 pub use shortener::{RedirectHop, UrlShortener};
 pub use tls::{CertificateAuthority, TlsCertificate, TlsError};
-pub use url::{Url, UrlError};
+pub use url::{Canonical, CanonicalKey, CanonicalText, Url, UrlError};
 pub use useragent::UserAgent;

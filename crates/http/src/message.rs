@@ -139,8 +139,9 @@ impl Request {
         }
     }
 
-    /// Set the `User-Agent` header (builder style).
-    pub fn with_user_agent(mut self, ua: &str) -> Self {
+    /// Set the `User-Agent` header (builder style). A `&'static str`
+    /// agent is stored without copying.
+    pub fn with_user_agent(mut self, ua: impl Into<Cow<'static, str>>) -> Self {
         self.headers.set("User-Agent", ua);
         self
     }
@@ -148,7 +149,7 @@ impl Request {
     /// Set the `Cookie` header (builder style).
     pub fn with_cookie_header(mut self, cookie: &str) -> Self {
         if !cookie.is_empty() {
-            self.headers.set("Cookie", cookie);
+            self.headers.set("Cookie", cookie.to_string());
         }
         self
     }
@@ -232,7 +233,7 @@ impl Response {
     /// A 302 redirect to `location`.
     pub fn redirect(location: &str) -> Self {
         let mut headers = Headers::new();
-        headers.set("Location", location);
+        headers.set("Location", location.to_string());
         Response {
             status: Status::Found,
             headers,

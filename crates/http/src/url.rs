@@ -6,7 +6,9 @@
 //! those that hash or strip them.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::borrow::Borrow;
+use std::fmt::{self, Write as _};
+use std::hash::{Hash, Hasher};
 
 /// Errors from URL parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,7 +38,7 @@ impl std::error::Error for UrlError {}
 /// let u = Url::parse("https://victim.com/login.php?step=2").unwrap();
 /// assert_eq!(u.host, "victim.com");
 /// assert_eq!(u.param("step"), Some("2"));
-/// assert_eq!(u.without_query().to_string(), "https://victim.com/login.php");
+/// assert_eq!(u.canonical().to_string(), "https://victim.com/login.php");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Url {
@@ -119,10 +121,15 @@ impl Url {
         out
     }
 
-    /// Write the path and the query string (`?k=v&flag`, a parameter
-    /// with an empty value spelled as its bare key) to `out`.
+    /// Write the path and the query string to `out`.
     fn write_target(&self, out: &mut impl fmt::Write) -> fmt::Result {
         out.write_str(&self.path)?;
+        self.write_query(out)
+    }
+
+    /// Write the query string (`?k=v&flag`, a parameter with an empty
+    /// value spelled as its bare key) to `out`.
+    fn write_query(&self, out: &mut impl fmt::Write) -> fmt::Result {
         for (i, (k, v)) in self.query.iter().enumerate() {
             out.write_str(if i == 0 { "?" } else { "&" })?;
             out.write_str(k)?;
@@ -144,24 +151,170 @@ impl Url {
         self.path.push_str(path);
     }
 
-    /// The URL without its query parameters.
-    pub fn without_query(&self) -> Url {
-        Url {
-            query: Vec::new(),
-            ..self.clone()
+    /// The URL's canonical form, borrowed: scheme, host and path.
+    pub fn canonical(&self) -> Canonical<'_> {
+        let scheme = if self.https { "https://" } else { "http://" };
+        Canonical {
+            pieces: [scheme, &self.host, &self.path],
         }
     }
 
     /// A stable FNV-1a hash of the full URL string, as privacy-conscious
     /// extensions send it (Table 3, "Sending URLs (hashed)").
     pub fn privacy_hash(&self) -> u64 {
-        let s = self.to_string();
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in s.as_bytes() {
-            hash ^= *b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        let mut hash = Fnv1a::new();
+        write!(hash, "{self}").expect("hashing cannot fail");
+        hash.0
+    }
+}
+
+/// FNV-1a state. Text fed in pieces hashes as the whole text; fed as a
+/// `fmt::Write` sink, a value hashes as the text its `Display` writes
+/// without that text being built.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, s: &str) {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
-        hash
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.eat(s);
+        Ok(())
+    }
+}
+
+/// FNV-1a of the concatenation of `pieces`.
+fn fnv1a_pieces(pieces: [&str; 3]) -> u64 {
+    let mut hash = Fnv1a::new();
+    pieces.iter().for_each(|p| hash.eat(p));
+    hash.0
+}
+
+/// A URL's canonical form: `scheme://host/path`, the query dropped.
+/// Feeds list full URLs, but kits vary query parameters to dodge
+/// exact-match lists, so blacklists, verdict caches and the
+/// Safe-Browsing full hash all key on this form.
+///
+/// The view borrows the URL's pieces: it writes, hashes and compares
+/// the text without building it.
+///
+/// ```
+/// use phishsim_http::Url;
+///
+/// let u = Url::parse("https://victim.com/login.php?step=2").unwrap();
+/// let c = u.canonical();
+/// assert_eq!(c.to_string(), "https://victim.com/login.php");
+/// assert_eq!(c.hash(), Url::parse(&c.to_string()).unwrap().privacy_hash());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Canonical<'a> {
+    pieces: [&'a str; 3],
+}
+
+impl<'a> Canonical<'a> {
+    /// FNV-1a of the canonical text: the [`Url::privacy_hash`] of the
+    /// URL without its query, and the Safe-Browsing full hash.
+    pub fn hash(&self) -> u64 {
+        fnv1a_pieces(self.pieces)
+    }
+
+    /// The canonical text as an owned map key (one allocation).
+    pub fn to_key(&self) -> CanonicalKey {
+        CanonicalKey(self.to_string())
+    }
+
+    /// The view as a lookup key into a map keyed by [`CanonicalKey`].
+    pub fn as_key(&self) -> &(dyn CanonicalText + 'a) {
+        self
+    }
+}
+
+impl fmt::Display for Canonical<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.pieces.iter().try_for_each(|p| f.write_str(p))
+    }
+}
+
+/// Canonical text owned as a map key. A map keyed by `CanonicalKey`
+/// finds an entry from a borrowed [`Canonical`]
+/// (`map.get(url.canonical().as_key())`), so a lookup builds no text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CanonicalKey(String);
+
+impl CanonicalKey {
+    /// A key holding `text`, taken as canonical as it is.
+    pub fn from_text(text: String) -> Self {
+        CanonicalKey(text)
+    }
+
+    /// The canonical text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Display for CanonicalKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+/// What a map keyed by [`CanonicalKey`] hashes and compares: canonical
+/// text, stored whole in a key or in pieces in a [`Canonical`]. Both
+/// hash and compare as the text, however it is split.
+pub trait CanonicalText {
+    /// The text, as the concatenation of three pieces.
+    fn pieces(&self) -> [&str; 3];
+}
+
+impl CanonicalText for CanonicalKey {
+    fn pieces(&self) -> [&str; 3] {
+        [&self.0, "", ""]
+    }
+}
+
+impl CanonicalText for Canonical<'_> {
+    fn pieces(&self) -> [&str; 3] {
+        self.pieces
+    }
+}
+
+impl Hash for dyn CanonicalText + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(fnv1a_pieces(self.pieces()));
+    }
+}
+
+impl PartialEq for dyn CanonicalText + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.pieces(), other.pieces());
+        a.iter().map(|p| p.len()).sum::<usize>() == b.iter().map(|p| p.len()).sum::<usize>()
+            && a.iter()
+                .flat_map(|p| p.bytes())
+                .eq(b.iter().flat_map(|p| p.bytes()))
+    }
+}
+
+impl Eq for dyn CanonicalText + '_ {}
+
+impl Hash for CanonicalKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn CanonicalText).hash(state);
+    }
+}
+
+impl<'a> Borrow<dyn CanonicalText + 'a> for CanonicalKey {
+    fn borrow(&self) -> &(dyn CanonicalText + 'a) {
+        self
     }
 }
 
@@ -177,9 +330,8 @@ fn parse_query(q: &str) -> Vec<(String, String)> {
 
 impl fmt::Display for Url {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.https { "https://" } else { "http://" })?;
-        f.write_str(&self.host)?;
-        self.write_target(f)
+        self.canonical().fmt(f)?;
+        self.write_query(f)
     }
 }
 
@@ -232,11 +384,32 @@ mod tests {
     }
 
     #[test]
-    fn target_and_without_query() {
+    fn target_and_canonical_form() {
         let u = Url::https("h.com", "p.php").with_param("a", "1");
         assert_eq!(u.target(), "/p.php?a=1");
-        assert_eq!(u.without_query().target(), "/p.php");
-        assert_eq!(u.without_query().host, "h.com");
+        assert_eq!(u.canonical().to_string(), "https://h.com/p.php");
+        let plain = Url::parse("http://h.com").unwrap().with_param("flag", "");
+        assert_eq!(plain.canonical().to_string(), "http://h.com/");
+    }
+
+    #[test]
+    fn canonical_keys_find_entries_from_borrowed_views() {
+        use std::collections::HashMap;
+        let listed = Url::parse("https://bad.com/kit/login.php?x=1").unwrap();
+        let mut map = HashMap::new();
+        map.insert(listed.canonical().to_key(), 7);
+        let same = Url::parse("https://bad.com/kit/login.php?y=2").unwrap();
+        assert_eq!(map.get(same.canonical().as_key()), Some(&7));
+        // A near miss in scheme, host or path is a miss.
+        for other in [
+            "http://bad.com/kit/login.php",
+            "https://bad.co/m/kit/login.php",
+            "https://bad.com/kit/login.ph",
+            "https://bad.com/kit/login.php/",
+        ] {
+            let other = Url::parse(other).unwrap();
+            assert_eq!(map.get(other.canonical().as_key()), None, "{other}");
+        }
     }
 
     #[test]

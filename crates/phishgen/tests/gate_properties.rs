@@ -133,7 +133,7 @@ proptest! {
         );
         for (i, s) in suffixes.iter().enumerate() {
             let ua = format!("Mozilla/5.0 (compatible; scanner-bot/{s})");
-            let resp = site.handle(&Request::get(url()).with_user_agent(&ua), &ctx(i as u64));
+            let resp = site.handle(&Request::get(url()).with_user_agent(ua), &ctx(i as u64));
             prop_assert!(!PageSummary::from_html(&resp.body).has_login_form());
         }
     }

@@ -82,13 +82,16 @@ impl IpPool {
             u32::MAX << host_bits
         };
         let net = base.0 & mask;
-        // Sample distinct host numbers.
-        let mut hosts = std::collections::BTreeSet::new();
-        while hosts.len() < size {
-            let h = rng.range(1..=capacity as u32);
-            hosts.insert(h);
+        // Draw host numbers until `size` are distinct, keeping the
+        // addresses sorted (`net` only sets bits above the host number):
+        // one allocation, and the draws of a tree set.
+        let mut addrs = Vec::with_capacity(size);
+        while addrs.len() < size {
+            let addr = Ipv4Sim(net | rng.range(1..=capacity as u32));
+            if let Err(at) = addrs.binary_search(&addr) {
+                addrs.insert(at, addr);
+            }
         }
-        let addrs = hosts.into_iter().map(|h| Ipv4Sim(net | h)).collect();
         IpPool { addrs }
     }
 
@@ -96,6 +99,15 @@ impl IpPool {
     pub fn from_addrs(addrs: Vec<Ipv4Sim>) -> Self {
         assert!(!addrs.is_empty(), "empty IP pool");
         IpPool { addrs }
+    }
+
+    /// Replace the pool's addresses with `addrs`, reusing its buffer.
+    ///
+    /// Panics if `addrs` is empty.
+    pub fn refill(&mut self, addrs: impl IntoIterator<Item = Ipv4Sim>) {
+        self.addrs.clear();
+        self.addrs.extend(addrs);
+        assert!(!self.addrs.is_empty(), "empty IP pool");
     }
 
     /// Number of addresses in the pool.

@@ -104,6 +104,31 @@ proptest! {
         prop_assert!(pool.addrs().iter().all(|a| a.in_subnet(base, 16)));
     }
 
+    /// A pool holds the addresses a tree set of the drawn host numbers
+    /// gives, in its order, and leaves the stream where that set left
+    /// it.
+    #[test]
+    fn ip_pool_matches_a_tree_set_of_draws(
+        seed in any::<u64>(),
+        prefix_len in 16u8..=30,
+        fill in 0.0f64..1.0,
+    ) {
+        let capacity = (1u32 << (32 - u32::from(prefix_len))) - 2;
+        let size = ((f64::from(capacity) * fill) as usize).clamp(1, 600);
+        let base = Ipv4Sim::new(100, 64, 37, 201);
+        let mut rng = DetRng::new(seed);
+        let pool = IpPool::allocate(base, prefix_len, size, &mut rng);
+        let mut reference_rng = DetRng::new(seed);
+        let mut hosts = std::collections::BTreeSet::new();
+        while hosts.len() < size {
+            hosts.insert(reference_rng.range(1..=capacity));
+        }
+        let net = base.0 & (u32::MAX << (32 - u32::from(prefix_len)));
+        let reference: Vec<Ipv4Sim> = hosts.into_iter().map(|h| Ipv4Sim(net | h)).collect();
+        prop_assert_eq!(pool.addrs(), &reference[..]);
+        prop_assert_eq!(rng.range(0..u64::MAX), reference_rng.range(0..u64::MAX));
+    }
+
     /// A retry schedule is a pure function of (seed, fork label,
     /// policy): recomputing it never disturbs the parent stream, and
     /// different labels give independent schedules.

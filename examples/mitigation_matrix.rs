@@ -93,7 +93,7 @@ fn payload_reached(cap: &Capability, technique: EvasionTechnique) -> bool {
     let dep = deploy_armed_site(&mut world, &domain, Brand::PayPal, technique, SimTime::ZERO);
 
     let config = BrowserConfig {
-        user_agent: phishsim::http::UserAgent::Chrome.as_str().to_string(),
+        user_agent: phishsim::http::UserAgent::Chrome.as_str().into(),
         dialog_policy: cap.dialog,
         captcha_solver: cap.solver.clone(),
         max_redirects: 5,

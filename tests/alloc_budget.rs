@@ -13,11 +13,14 @@
 //! every response would fail the budget.
 //! Another bounds a whole fast run, whose cost is per-run setup and
 //! browser visits: it fails when setup goes back to building cover
-//! sites nobody requests or stepping the monitor's poll ticks one by
-//! one. A third bounds each report of the fast fleet sweep, almost all
-//! one-visit dedup revalidations: it fails when a crawl pass goes back
-//! to building a browser, or a visit to formatting or copying URLs
-//! nobody reads.
+//! sites nobody requests, stepping the monitor's poll ticks one by one,
+//! copying a domain name into every zone record or a user agent into
+//! every request. A third bounds each report of the fast fleet sweep,
+//! almost all one-visit dedup revalidations: it fails when a crawl pass
+//! goes back to building a browser or a new crawl pool, or a visit to
+//! formatting or copying URLs nobody reads. The blacklist lookups the
+//! monitor makes must not allocate at all: a lookup that builds its
+//! URL's canonical text fails.
 //!
 //! The feed tests bound the population walks: a cohort-table build must
 //! not allocate per client (no map per batch of clients, no formatted
@@ -28,6 +31,7 @@
 //! on the counting thread. The counts are deterministic (same seed,
 //! same calls), so the bounds cannot flake.
 
+use phishsim::antiphish::{EngineId, FeedNetwork};
 use phishsim::experiment::{
     run_fleet_sweep_with_threads, run_main_experiment, FleetSweepConfig, MainConfig,
 };
@@ -35,7 +39,8 @@ use phishsim::feedserve::{
     run_population_with_threads, CohortSpec, CohortTable, FeedServer, ListingEvent, MirrorConfig,
     PopulationConfig, ServerConfig,
 };
-use phishsim::simnet::SimTime;
+use phishsim::http::Url;
+use phishsim::simnet::{DetRng, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -49,14 +54,18 @@ const BUDGET_PER_REQUEST: f64 = 2.0;
 /// into each response.
 const BYTES_PER_REQUEST: f64 = 400.0;
 
-/// Allocations allowed for one `MainConfig::fast()` run (20,984
-/// measured; 27,801 while every crawl pass built a new browser).
-const FAST_RUN_BUDGET: u64 = 21_500;
+/// Allocations allowed for one `MainConfig::fast()` run (13,564
+/// measured; 20,984 while every blacklist lookup built its key, every
+/// zone record copied its name and every request its user agent;
+/// 27,801 while every crawl pass built a new browser).
+const FAST_RUN_BUDGET: u64 = 13_900;
 
 /// Allocations allowed per report of the fast fleet sweep, the setup of
-/// its four points included (22.63 measured; 43.22 while every crawl
-/// pass built a new browser and every visit formatted its URL).
-const FLEET_BUDGET_PER_REPORT: f64 = 23.0;
+/// its four points included (20.34 measured; 22.63 while every report
+/// built a crawl pool and every request copied its user agent; 43.22
+/// while every crawl pass built a new browser and every visit
+/// formatted its URL).
+const FLEET_BUDGET_PER_REPORT: f64 = 20.8;
 
 /// Allocations allowed for one cohort-table build, at any population.
 const TABLE_BUILD_BUDGET: u64 = 64;
@@ -187,6 +196,40 @@ fn fast_run_stays_within_the_allocation_budget() {
         allocs <= FAST_RUN_BUDGET,
         "{allocs} allocations in one fast run, budget {FAST_RUN_BUDGET}"
     );
+}
+
+#[test]
+fn monitor_blacklist_lookups_do_not_allocate() {
+    // Each engine lists a few URLs (and what the feeds propagate);
+    // the monitor then asks every engine about every reported URL,
+    // listed or not, with query parameters the lists ignore.
+    let mut feeds = FeedNetwork::paper_topology(&DetRng::new(17));
+    let urls: Vec<Url> = (0..40)
+        .map(|i| {
+            let scheme = if i % 3 == 0 { "http" } else { "https" };
+            Url::parse(&format!(
+                "{scheme}://site-{}.com/kit/login.php?id={i}",
+                i % 20
+            ))
+            .unwrap()
+        })
+        .collect();
+    for (i, url) in urls.iter().enumerate().step_by(3) {
+        let engine = EngineId::all()[i % EngineId::all().len()];
+        feeds.publish(engine, url, SimTime::from_mins(i as u64));
+    }
+    let now = SimTime::from_hours(48);
+    let before = ALLOCS.with(Cell::get);
+    let mut listed = 0;
+    for engine in EngineId::all() {
+        for url in &urls {
+            listed += usize::from(feeds.listed_at(engine, url).is_some());
+            listed += usize::from(feeds.list(engine).is_listed(url, now));
+        }
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert!(listed > 0, "some lookups must hit");
+    assert_eq!(allocs, 0, "{allocs} allocations over blacklist lookups");
 }
 
 /// A cohort population of `clients` behind four mirrors.
