@@ -14,6 +14,9 @@
 //!   provider at full speed.
 //! * [`egress`] — an egress-IP/proxy pool with a rotation policy, so
 //!   cloaking kits keyed on requester identity see realistic churn.
+//! * [`supervisor`] — leases, crash detection and restarts. Every fleet
+//!   is supervised; without faults the supervisor schedules nothing but
+//!   each crawl's commit.
 //!
 //! # Determinism
 //!
@@ -129,19 +132,14 @@ pub struct FleetConfig {
     /// Feed outage windows: arrivals inside one are parked until it
     /// lifts (the chaos layer taking the intake pipeline down).
     pub outages: Vec<OutageWindow>,
-    /// Scheduled faults against individual workers. Requires
-    /// [`FleetConfig::supervisor`]; not serialized (the workspace derive
-    /// has no `skip_serializing_if`, and configs recorded before worker
-    /// faults existed must round-trip byte-identically) — experiment
-    /// configs carry fault *parameters* and regenerate the plan.
+    /// Scheduled faults against individual workers. Not serialized:
+    /// experiment configs carry fault *parameters* and regenerate the
+    /// plan from them.
     #[serde(skip)]
     pub worker_faults: WorkerFaultPlan,
-    /// Worker supervision (heartbeats, leases, restarts). `None` runs
-    /// the legacy unsupervised path, byte-identical to fleets recorded
-    /// before supervision existed. Not serialized, like
-    /// [`FleetConfig::worker_faults`].
-    #[serde(skip)]
-    pub supervisor: Option<SupervisorConfig>,
+    /// Worker supervision: heartbeat cadence, lease timeout, restart
+    /// delay and the per-report crawl budget.
+    pub supervisor: SupervisorConfig,
 }
 
 impl Default for FleetConfig {
@@ -166,7 +164,7 @@ impl Default for FleetConfig {
             volume_scale: 0.01,
             outages: Vec::new(),
             worker_faults: WorkerFaultPlan::none(),
-            supervisor: None,
+            supervisor: SupervisorConfig::default(),
         }
     }
 }
@@ -182,9 +180,9 @@ impl FleetConfig {
         self
     }
 
-    /// Enable worker supervision (builder style).
+    /// Set the worker supervision knobs (builder style).
     pub fn with_supervisor(mut self, supervisor: SupervisorConfig) -> Self {
-        self.supervisor = Some(supervisor.validated());
+        self.supervisor = supervisor.validated();
         self
     }
 }
@@ -239,14 +237,13 @@ pub struct FleetResult {
     /// Distinct egress identities that carried at least one report.
     pub identities_used: usize,
     /// Reports parked after exhausting the per-report crawl budget
-    /// (supervised runs only; sorted by index). Parked reports are
-    /// accounted, never silently lost.
+    /// (sorted by index). Parked reports are accounted, never silently
+    /// lost.
     pub poisoned: Vec<u32>,
     /// Engine crawls beyond the first per report — work repeated
-    /// because a lease was revoked mid-crawl (supervised runs only).
+    /// because a lease was revoked mid-crawl.
     pub duplicate_crawls: u64,
-    /// Distribution of crash-to-restart recovery latencies, in ms
-    /// (supervised runs only).
+    /// Distribution of crash-to-restart recovery latencies, in ms.
     pub recovery_ms: LogHistogram,
 }
 
@@ -256,15 +253,12 @@ enum FleetEvent {
     Arrival(u32),
     /// Report `idx` re-enters intake after parking/deferral.
     Redeliver { idx: u32, tries: u32 },
-    /// Worker finished its crawl and looks for more work.
-    WorkerFree(u32),
-    /// A scheduled worker fault fires (supervised runs only).
+    /// A scheduled worker fault fires.
     Fault { worker: u32, fault: WorkerFault },
-    /// A busy worker proves liveness to the supervisor.
-    Heartbeat { worker: u32, token: u64 },
-    /// The supervisor checks a claimed report's lease.
-    LeaseCheck { worker: u32, token: u64 },
-    /// A worker's crawl completes and its outcome commits.
+    /// A crashed or hung worker's lease runs out.
+    Revoke { worker: u32, token: u64 },
+    /// A worker's crawl completes: its outcome commits and the worker
+    /// looks for more work.
     Commit { worker: u32, token: u64 },
     /// A downed or recycling worker comes back up.
     Restart(u32),
@@ -294,8 +288,7 @@ struct Fleet<'a> {
     queue_wait_ms: LogHistogram,
     detection_delay_mins: LogHistogram,
     last_completion: SimTime,
-    /// Worker supervision state; `None` on the legacy unsupervised path.
-    sup: Option<SupervisorState>,
+    sup: SupervisorState,
 }
 
 impl Fleet<'_> {
@@ -366,8 +359,9 @@ impl Fleet<'_> {
     }
 
     /// Worker `w` (not in the idle set) looks for a report: own shard
-    /// first, then up to `steal_attempts` victims starting at a seeded
-    /// offset. Returns the report and whether it was stolen.
+    /// first, then up to `steal_attempts` victims starting at an offset
+    /// drawn from the fleet's one steal stream. Returns the report and
+    /// whether it was stolen.
     fn find_work(&mut self, w: u32) -> Option<(QueuedReport, bool)> {
         if let Some(r) = self.queue.pop_local(w as usize) {
             return Some((r, false));
@@ -388,87 +382,6 @@ impl Fleet<'_> {
         }
         None
     }
-
-    /// Worker `w` crawls `report` starting no earlier than `now`.
-    fn crawl(
-        &mut self,
-        engine: &mut Engine,
-        t: &mut dyn Transport,
-        w: u32,
-        report: QueuedReport,
-        stolen: bool,
-        now: SimTime,
-    ) {
-        let arrival = &self.arrivals[report.idx as usize];
-        let dispatched_at =
-            self.limiter
-                .reserve(&arrival.url.host, now, self.cfg.tokens_per_report);
-        let throttle_ms = dispatched_at.since(now).as_millis();
-        if stolen {
-            self.counters.incr("fleet.stolen");
-            self.obs.point("fleet.steal", &arrival.feed, now);
-        }
-        self.egress
-            .fill_pool(w as usize, dispatched_at, engine.crawl_pool_mut());
-        let parent = self.spans.get(&report.idx).copied();
-        let crawl_span = self
-            .obs
-            .span_start(parent, "fleet.crawl", &arrival.feed, dispatched_at);
-        let outcome = engine.process_report_keyed(
-            t,
-            &arrival.url,
-            dispatched_at,
-            self.cfg.volume_scale,
-            report.idx as usize,
-        );
-        let completed_at = dispatched_at + self.cfg.service.occupancy(outcome.requests_made);
-        self.obs.span_end(crawl_span, completed_at);
-        self.obs.point("fleet.verdict", &arrival.feed, completed_at);
-        if let Some(span) = parent {
-            self.obs.span_end(span, completed_at);
-        }
-        let queue_wait = now.since(arrival.at).as_millis();
-        self.queue_wait_ms.record(queue_wait);
-        self.obs.observe("fleet.queue_wait_ms", queue_wait);
-        if let Some(d) = outcome.detection_delay() {
-            let mins = d.as_millis() / 60_000;
-            self.detection_delay_mins.record(mins);
-            self.obs.observe("fleet.detection_delay_mins", mins);
-        }
-        self.counters.incr("fleet.completed");
-        self.counters.add("fleet.requests", outcome.requests_made);
-        self.outcomes.push(FleetOutcome {
-            idx: report.idx,
-            worker: w,
-            stolen,
-            arrived_at: arrival.at,
-            dispatched_at,
-            completed_at,
-            queue_wait_ms: queue_wait,
-            throttle_ms,
-            redeliveries: self.redeliveries.get(&report.idx).copied().unwrap_or(0),
-            detected_at: outcome.detected_at,
-            requests_made: outcome.requests_made,
-        });
-        self.last_completion = self.last_completion.max(completed_at);
-        self.sched
-            .schedule_at(completed_at, FleetEvent::WorkerFree(w));
-    }
-
-    /// Remove `w` from the idle set, find it work, and either crawl or
-    /// park it back in the idle set.
-    fn dispatch(&mut self, engine: &mut Engine, t: &mut dyn Transport, w: u32, now: SimTime) {
-        if self.sup.is_some() {
-            return self.dispatch_supervised(engine, t, w, now);
-        }
-        self.idle.remove(&w);
-        match self.find_work(w) {
-            Some((report, stolen)) => self.crawl(engine, t, w, report, stolen, now),
-            None => {
-                self.idle.insert(w);
-            }
-        }
-    }
 }
 
 /// Run the fleet over `arrivals`, crawling through `engine` against
@@ -484,10 +397,6 @@ pub fn run_fleet(
     obs: &ObsSink,
 ) -> FleetResult {
     assert!(cfg.workers > 0, "fleet needs at least one worker");
-    assert!(
-        cfg.worker_faults.is_empty() || cfg.supervisor.is_some(),
-        "worker faults require a supervisor to detect and recover them"
-    );
     let mut egress_rng = rng.fork("fleet-egress");
     let mut fleet = Fleet {
         cfg,
@@ -512,25 +421,22 @@ pub fn run_fleet(
         queue_wait_ms: LogHistogram::default(),
         detection_delay_mins: LogHistogram::default(),
         last_completion: SimTime::ZERO,
-        sup: cfg
-            .supervisor
-            .as_ref()
-            .map(|sc| SupervisorState::new(sc.clone().validated(), cfg.workers, rng)),
+        sup: SupervisorState::new(cfg.supervisor.clone(), cfg.workers, arrivals.len()),
     };
     for (i, a) in arrivals.iter().enumerate() {
         fleet.sched.schedule_at(a.at, FleetEvent::Arrival(i as u32));
     }
-    if fleet.sup.is_some() {
-        for f in &cfg.worker_faults.clone().validated().faults {
-            if (f.worker as usize) < cfg.workers {
-                fleet.sched.schedule_at(
-                    f.at,
-                    FleetEvent::Fault {
-                        worker: f.worker,
-                        fault: f.fault,
-                    },
-                );
-            }
+    // Faults go in before any claim can schedule a commit or a revoke,
+    // so a fault wins every tie with them.
+    for f in &cfg.worker_faults.clone().validated().faults {
+        if (f.worker as usize) < cfg.workers {
+            fleet.sched.schedule_at(
+                f.at,
+                FleetEvent::Fault {
+                    worker: f.worker,
+                    fault: f.fault,
+                },
+            );
         }
     }
     while let Some((now, ev)) = fleet.sched.pop() {
@@ -545,10 +451,8 @@ pub fn run_fleet(
                     fleet.dispatch(engine, t, w, now);
                 }
             }
-            FleetEvent::WorkerFree(w) => fleet.dispatch(engine, t, w, now),
             FleetEvent::Fault { worker, fault } => fleet.on_fault(worker, fault, now),
-            FleetEvent::Heartbeat { worker, token } => fleet.on_heartbeat(worker, token, now),
-            FleetEvent::LeaseCheck { worker, token } => fleet.on_lease_check(worker, token, now),
+            FleetEvent::Revoke { worker, token } => fleet.on_revoke(worker, token, now),
             FleetEvent::Commit { worker, token } => fleet.on_commit(engine, t, worker, token, now),
             FleetEvent::Restart(worker) => fleet.on_restart(engine, t, worker, now),
         }
@@ -567,10 +471,7 @@ pub fn run_fleet(
     fleet
         .counters
         .add("fleet.egress_rotations", fleet.egress.rotations());
-    let (poisoned, duplicate_crawls, recovery_ms) = match fleet.sup {
-        Some(sup) => sup.into_result_parts(),
-        None => (Vec::new(), 0, LogHistogram::default()),
-    };
+    let (poisoned, duplicate_crawls, recovery_ms) = fleet.sup.into_result_parts();
     FleetResult {
         makespan,
         sustained_per_day,
@@ -703,6 +604,61 @@ mod tests {
             r.counters
         );
         assert!(r.outcomes.iter().any(|o| o.redeliveries > 0));
+    }
+
+    #[test]
+    fn a_fault_free_fleet_schedules_only_arrivals_redeliveries_and_commits() {
+        // Supervision arms no timer of its own: without faults, the
+        // scheduler sees each arrival, each redelivery and one commit
+        // per crawl, and nothing else.
+        let cfg = FleetConfig {
+            workers: 2,
+            shard_capacity: 4,
+            steal_attempts: 2,
+            egress_identities: 8,
+            egress_per_report: 2,
+            volume_scale: 0.0,
+            ..FleetConfig::default()
+        }
+        .with_supervisor(SupervisorConfig {
+            heartbeat_every: SimDuration::from_secs(1),
+            ..SupervisorConfig::default()
+        });
+        let (mut t, urls) = deploy(6);
+        let arrivals = arrivals_for(&urls, 40, 100);
+        let rng = DetRng::new(11);
+        let mut engine = Engine::new(EngineId::Gsb, &rng);
+        let sink = ObsSink::memory();
+        let r = run_fleet(
+            &mut engine,
+            &mut t,
+            &cfg,
+            &arrivals,
+            &rng.fork("fleet"),
+            &sink,
+        );
+        let redeliveries = r.counters.get("fleet.shed");
+        assert!(redeliveries > 0, "the stream must overflow the 2x4 queue");
+        assert!(
+            r.counters.get("fleet.heartbeats") > 0,
+            "beats are counted though none is scheduled"
+        );
+        assert_eq!(
+            sink.metrics().counter("sched.scheduled"),
+            40 + redeliveries + r.outcomes.len() as u64
+        );
+    }
+
+    #[test]
+    fn lease_settings_are_part_of_the_serialized_config() {
+        let cfg = FleetConfig::default().with_supervisor(SupervisorConfig {
+            lease_timeout: SimDuration::from_secs(90),
+            ..SupervisorConfig::default()
+        });
+        let json = serde_json::to_string(&cfg).unwrap();
+        let back: FleetConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.supervisor.lease_timeout, SimDuration::from_secs(90));
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]

@@ -1,49 +1,60 @@
-//! Worker supervision: heartbeats, leases, crash detection, restarts.
+//! Worker supervision: leases, crash detection, restarts.
 //!
 //! The supervisor runs *inside* the fleet's single deterministic event
 //! loop — it is not a thread, it is more events. Each claimed report
 //! carries a lease: the claiming worker heartbeats while the crawl is
-//! in flight, and the supervisor revokes the lease when the heartbeats
-//! stop for longer than the configured timeout. A revoked report is
-//! requeued (bounded by a per-report crawl budget shared with the
-//! engine's [`RetryPolicy`]); the dead worker is restarted after a
-//! delay, with cold per-run caches and a fresh RNG fork, exactly as a
-//! respawned crawler process would come up.
+//! in flight, and the supervisor revokes the lease once the heartbeats
+//! have stopped for longer than the configured timeout. A revoked
+//! report is requeued (bounded by a per-report crawl budget shared with
+//! the engine's [`RetryPolicy`]); the dead worker is restarted after a
+//! delay with cold per-run caches, as a respawned crawler process would
+//! come up.
 //!
-//! # Lease protocol
+//! # Leases as arithmetic
 //!
-//! On claim the worker's lease token is bumped and three timers start:
-//! a heartbeat chain (every `heartbeat_every`, stopping before the
-//! crawl's completion), one lease check at `lease_timeout`, and the
-//! commit at the crawl's completion time. Every timer carries the
-//! token; any state transition bumps the token, so stale timers
-//! no-op. The lease check either observes a fresh heartbeat and
-//! re-arms itself at `last_beat + lease_timeout`, or revokes. The
-//! commit only lands while the worker is up and the token current —
-//! a crawl interrupted by a crash or hang is computed but never
-//! committed, so a report is convicted at most once.
+//! A busy worker beats at `claim + k·heartbeat_every` (k ≥ 1) until its
+//! crawl completes or a fault stops it, so no beat needs an event of
+//! its own:
+//!
+//! * [`SupervisorConfig::validated`] keeps `lease_timeout` above
+//!   `heartbeat_every`, so a healthy lease is never revoked. A claim
+//!   schedules only its commit, at the crawl's completion time.
+//! * A crash or hang of a busy worker is revoked exactly at
+//!   `last_beat + lease_timeout`, where `last_beat` is the last beat
+//!   strictly before the fault, or the claim time if there was none.
+//!   Faults are scheduled before any claim, so they win ties with beats
+//!   and commits. The fault schedules that one revoke.
+//! * `fleet.heartbeats` counts the beats strictly before the commit or
+//!   the fault.
+//!
+//! Commits and revokes carry the worker's lease token; any state
+//! transition bumps the token, so a stale event no-ops. The commit only
+//! lands while the worker is up and the token current — a crawl
+//! interrupted by a crash or hang is computed but never committed, so a
+//! report is convicted at most once.
 //!
 //! # Fault semantics
 //!
 //! * [`WorkerFault::Crash`] — the process dies now. A busy worker's
-//!   lease expires (detection within `lease_timeout` of the last
-//!   beat) and the report is requeued; an idle worker is detected by
-//!   the same liveness bound. Restart follows `restart_delay` later.
+//!   lease expires as above and the report is requeued; an idle worker
+//!   is detected by the same liveness bound, `lease_timeout` after the
+//!   crash. Restart follows `restart_delay` later.
 //! * [`WorkerFault::Hang`] — the process wedges mid-crawl: same
 //!   detection and recovery as a crash, but only bites while busy.
 //! * [`WorkerFault::Restart`] — a graceful recycle: in-flight work
 //!   commits first, nothing is requeued, the worker is simply
 //!   unavailable for `restart_delay`.
 //!
+//! A restart resets the engine's per-run caches and nothing else: steal
+//! victims come from the fleet's one `fleet-steal` stream whichever
+//! worker draws them.
+//!
 //! # Determinism
 //!
-//! Every timer is scheduled at a virtual time computed from config and
-//! prior events; fault times come from a pre-validated
-//! [`WorkerFaultPlan`]. Restart RNG forks are keyed by
-//! `(worker, generation)` — position-independent, like every fork in
-//! the workspace — and generations advance deterministically, so a
-//! supervised run is as replayable as an unsupervised one at any
-//! `PHISHSIM_SWEEP_THREADS`.
+//! Every event is scheduled at a virtual time computed from config and
+//! prior events, and fault times come from a pre-validated
+//! [`WorkerFaultPlan`], so a run with faults is as replayable as one
+//! without at any `PHISHSIM_SWEEP_THREADS`.
 
 use super::*;
 use phishsim_simnet::RetryPolicy;
@@ -93,26 +104,33 @@ impl SupervisorConfig {
         self.max_crawl_attempts = self.max_crawl_attempts.max(1);
         self
     }
+
+    /// Beats a worker that claimed its report at `claimed_at` sends
+    /// strictly before `until`.
+    fn beats_before(&self, claimed_at: SimTime, until: SimTime) -> u64 {
+        let held = until.since(claimed_at).as_millis();
+        held.saturating_sub(1) / self.heartbeat_every.as_millis()
+    }
 }
 
 /// A claimed report whose crawl is in flight: the computed-but-
-/// uncommitted outcome plus the lease bookkeeping around it.
+/// uncommitted outcome and when its lease began.
 struct InFlight {
     outcome: FleetOutcome,
     /// Detection delay in minutes, precomputed from the engine outcome
     /// (committed into the histogram only if the crawl commits).
     detection_mins: Option<u64>,
-    crawl_span: SpanId,
-    last_beat: SimTime,
+    /// When the worker claimed the report; its beats follow every
+    /// `heartbeat_every` from here.
+    claimed_at: SimTime,
 }
 
 /// One worker as the supervisor sees it.
+#[derive(Default)]
 struct WorkerState {
     /// Lease generation: bumped on claim, revoke, commit, and restart,
-    /// so timers from a previous lease cannot act on the current one.
+    /// so events from a previous lease cannot act on the current one.
     token: u64,
-    /// Process incarnation; keys the post-restart RNG fork.
-    generation: u32,
     busy: Option<InFlight>,
     /// Crashed, hung, or recycling — not eligible for work.
     downed: bool,
@@ -122,45 +140,30 @@ struct WorkerState {
     /// A graceful restart was requested mid-crawl; recycle after the
     /// commit lands.
     pending_restart: bool,
-    /// The worker's own RNG (steal-probe offsets); re-forked fresh on
-    /// every restart.
-    rng: DetRng,
 }
 
 /// Fleet-level supervision state.
 pub(super) struct SupervisorState {
     cfg: SupervisorConfig,
     workers: Vec<WorkerState>,
-    /// Engine crawls per report index (claims, not redeliveries).
-    attempts: HashMap<u32, u32>,
+    /// Engine crawls per report (claims, not redeliveries), by index.
+    attempts: Vec<u32>,
     poisoned: Vec<u32>,
     duplicate_crawls: u64,
     recovery_ms: LogHistogram,
-    /// Root for per-worker forks, so restarts can mint fresh streams.
-    rng_root: DetRng,
 }
 
 impl SupervisorState {
-    pub(super) fn new(cfg: SupervisorConfig, workers: usize, rng: &DetRng) -> Self {
-        let rng_root = rng.fork("fleet-workers");
+    pub(super) fn new(cfg: SupervisorConfig, workers: usize, reports: usize) -> Self {
         SupervisorState {
-            cfg,
-            workers: (0..workers)
-                .map(|w| WorkerState {
-                    token: 0,
-                    generation: 0,
-                    busy: None,
-                    downed: false,
-                    crashed_at: None,
-                    pending_restart: false,
-                    rng: rng_root.fork(&format!("w{w}:gen0")),
-                })
+            cfg: cfg.validated(),
+            workers: std::iter::repeat_with(WorkerState::default)
+                .take(workers)
                 .collect(),
-            attempts: HashMap::new(),
+            attempts: vec![0; reports],
             poisoned: Vec::new(),
             duplicate_crawls: 0,
             recovery_ms: LogHistogram::default(),
-            rng_root,
         }
     }
 
@@ -172,16 +175,10 @@ impl SupervisorState {
 }
 
 impl Fleet<'_> {
-    fn sup(&mut self) -> &mut SupervisorState {
-        self.sup
-            .as_mut()
-            .expect("supervised path needs a supervisor")
-    }
-
-    /// Supervised work loop for `w`: claim the next report, parking
-    /// poison reports (crawl budget exhausted) along the way; idle if
-    /// the queues are dry.
-    pub(super) fn dispatch_supervised(
+    /// Worker `w` looks for work: claim the next report, parking poison
+    /// reports (crawl budget exhausted) along the way; idle if the
+    /// queues are dry.
+    pub(super) fn dispatch(
         &mut self,
         engine: &mut Engine,
         t: &mut dyn Transport,
@@ -189,63 +186,36 @@ impl Fleet<'_> {
         now: SimTime,
     ) {
         self.idle.remove(&w);
-        if self.sup().workers[w as usize].downed {
+        if self.sup.workers[w as usize].downed {
             return;
         }
-        loop {
-            let Some((report, stolen)) = self.find_work_supervised(w) else {
-                self.idle.insert(w);
-                return;
-            };
+        let arrivals = self.arrivals;
+        while let Some((report, stolen)) = self.find_work(w) {
             let idx = report.idx;
-            let max = self.sup().cfg.max_crawl_attempts;
-            let attempts = self.sup().attempts.get(&idx).copied().unwrap_or(0);
-            if attempts >= max {
-                self.sup().poisoned.push(idx);
+            let attempts = self.sup.attempts[idx as usize];
+            if attempts >= self.sup.cfg.max_crawl_attempts {
+                self.sup.poisoned.push(idx);
                 self.counters.incr("fleet.poisoned");
-                let feed = self.arrivals[idx as usize].feed.clone();
-                self.obs.point("fleet.poisoned", &feed, now);
+                self.obs
+                    .point("fleet.poisoned", &arrivals[idx as usize].feed, now);
                 if let Some(span) = self.spans.remove(&idx) {
                     self.obs.span_end(span, now);
                 }
                 continue;
             }
-            self.sup().attempts.insert(idx, attempts + 1);
+            self.sup.attempts[idx as usize] = attempts + 1;
             if attempts > 0 {
-                self.sup().duplicate_crawls += 1;
+                self.sup.duplicate_crawls += 1;
                 self.counters.incr("fleet.duplicate_crawls");
             }
-            self.claim(engine, t, w, report, stolen, now);
-            return;
+            return self.claim(engine, t, w, report, stolen, now);
         }
-    }
-
-    /// [`Fleet::find_work`], but steal-probe offsets come from the
-    /// worker's *own* RNG stream — the one a restart re-forks.
-    fn find_work_supervised(&mut self, w: u32) -> Option<(QueuedReport, bool)> {
-        if let Some(r) = self.queue.pop_local(w as usize) {
-            return Some((r, false));
-        }
-        if self.cfg.steal_attempts == 0 || self.queue.total_depth() == 0 {
-            return None;
-        }
-        let shards = self.queue.shard_count();
-        let start = self.sup().workers[w as usize].rng.range(0..shards as u32) as usize;
-        for k in 0..self.cfg.steal_attempts {
-            let victim = (start + k) % shards;
-            if victim == w as usize {
-                continue;
-            }
-            if let Some(r) = self.queue.steal_from(victim) {
-                return Some((r, true));
-            }
-        }
-        None
+        self.idle.insert(w);
     }
 
     /// Worker `w` claims `report` at `now`: run the crawl eagerly (the
     /// outcome is a pure function of the report key), hold the outcome
-    /// uncommitted, and start the lease timers.
+    /// uncommitted, and schedule its commit.
     fn claim(
         &mut self,
         engine: &mut Engine,
@@ -259,17 +229,22 @@ impl Fleet<'_> {
         let dispatched_at =
             self.limiter
                 .reserve(&arrival.url.host, now, self.cfg.tokens_per_report);
-        let throttle_ms = dispatched_at.since(now).as_millis();
         if stolen {
             self.counters.incr("fleet.stolen");
             self.obs.point("fleet.steal", &arrival.feed, now);
         }
         self.egress
             .fill_pool(w as usize, dispatched_at, engine.crawl_pool_mut());
-        let parent = self.spans.get(&report.idx).copied();
-        let crawl_span = self
-            .obs
-            .span_start(parent, "fleet.crawl", &arrival.feed, dispatched_at);
+        // The crawl span brackets the engine call, so host-time taps
+        // can time it; its simulated end is the completion time. A
+        // crawl whose lease is later revoked is marked by the
+        // `lease.revoke` point.
+        let crawl_span = self.obs.span_start(
+            self.spans.get(&report.idx).copied(),
+            "fleet.crawl",
+            &arrival.feed,
+            dispatched_at,
+        );
         let outcome = engine.process_report_keyed(
             t,
             &arrival.url,
@@ -278,7 +253,10 @@ impl Fleet<'_> {
             report.idx as usize,
         );
         let completed_at = dispatched_at + self.cfg.service.occupancy(outcome.requests_made);
-        let in_flight = InFlight {
+        self.obs.span_end(crawl_span, completed_at);
+        let ws = &mut self.sup.workers[w as usize];
+        ws.token += 1;
+        ws.busy = Some(InFlight {
             outcome: FleetOutcome {
                 idx: report.idx,
                 worker: w,
@@ -287,85 +265,17 @@ impl Fleet<'_> {
                 dispatched_at,
                 completed_at,
                 queue_wait_ms: now.since(arrival.at).as_millis(),
-                throttle_ms,
+                throttle_ms: dispatched_at.since(now).as_millis(),
                 redeliveries: self.redeliveries.get(&report.idx).copied().unwrap_or(0),
                 detected_at: outcome.detected_at,
                 requests_made: outcome.requests_made,
             },
             detection_mins: outcome.detection_delay().map(|d| d.as_millis() / 60_000),
-            crawl_span,
-            last_beat: now,
-        };
-        let (heartbeat_every, lease_timeout) = {
-            let c = &self.sup().cfg;
-            (c.heartbeat_every, c.lease_timeout)
-        };
-        let ws = &mut self.sup().workers[w as usize];
-        ws.token += 1;
+            claimed_at: now,
+        });
         let token = ws.token;
-        ws.busy = Some(in_flight);
-        let first_beat = now + heartbeat_every;
-        if first_beat < completed_at {
-            self.sched
-                .schedule_at(first_beat, FleetEvent::Heartbeat { worker: w, token });
-        }
-        self.sched.schedule_at(
-            now + lease_timeout,
-            FleetEvent::LeaseCheck { worker: w, token },
-        );
         self.sched
             .schedule_at(completed_at, FleetEvent::Commit { worker: w, token });
-    }
-
-    /// A heartbeat fires: if the lease is current and the worker is
-    /// still up, refresh the beat and chain the next one.
-    pub(super) fn on_heartbeat(&mut self, w: u32, token: u64, now: SimTime) {
-        let heartbeat_every = self.sup().cfg.heartbeat_every;
-        let ws = &mut self.sup().workers[w as usize];
-        if ws.token != token || ws.downed {
-            return;
-        }
-        let Some(f) = ws.busy.as_mut() else { return };
-        f.last_beat = now;
-        let completed_at = f.outcome.completed_at;
-        self.counters.incr("fleet.heartbeats");
-        let next = now + heartbeat_every;
-        if next < completed_at {
-            self.sched
-                .schedule_at(next, FleetEvent::Heartbeat { worker: w, token });
-        }
-    }
-
-    /// A lease check fires: re-arm if a beat landed recently, revoke
-    /// the lease otherwise — requeue the report, schedule the restart.
-    pub(super) fn on_lease_check(&mut self, w: u32, token: u64, now: SimTime) {
-        let (lease_timeout, restart_delay) = {
-            let c = &self.sup().cfg;
-            (c.lease_timeout, c.restart_delay)
-        };
-        let ws = &mut self.sup().workers[w as usize];
-        if ws.token != token || ws.busy.is_none() {
-            return;
-        }
-        let deadline = ws.busy.as_ref().expect("checked").last_beat + lease_timeout;
-        if now < deadline {
-            self.sched
-                .schedule_at(deadline, FleetEvent::LeaseCheck { worker: w, token });
-            return;
-        }
-        let f = ws.busy.take().expect("checked");
-        ws.token += 1;
-        let idx = f.outcome.idx;
-        self.counters.incr("fleet.lease_revoked");
-        let actor = format!("w{w}");
-        self.obs.point("lease.revoke", &actor, now);
-        self.obs.span_end(f.crawl_span, now);
-        let tries = self.redeliveries.get(&idx).copied().unwrap_or(0) + 1;
-        self.counters.incr("fleet.requeued");
-        self.sched
-            .schedule_at(now, FleetEvent::Redeliver { idx, tries });
-        self.sched
-            .schedule_at(now + restart_delay, FleetEvent::Restart(w));
     }
 
     /// A crawl's completion time arrives: commit the outcome if the
@@ -379,22 +289,20 @@ impl Fleet<'_> {
         token: u64,
         now: SimTime,
     ) {
-        let restart_delay = self.sup().cfg.restart_delay;
-        let ws = &mut self.sup().workers[w as usize];
+        let ws = &mut self.sup.workers[w as usize];
         if ws.token != token || ws.downed {
             return;
         }
         let Some(f) = ws.busy.take() else { return };
         ws.token += 1;
-        let recycle = ws.pending_restart;
+        let recycle = std::mem::take(&mut ws.pending_restart);
         if recycle {
-            ws.pending_restart = false;
             ws.downed = true;
         }
+        self.count_beats(f.claimed_at, now);
         let idx = f.outcome.idx;
-        let feed = self.arrivals[idx as usize].feed.clone();
-        self.obs.span_end(f.crawl_span, now);
-        self.obs.point("fleet.verdict", &feed, now);
+        self.obs
+            .point("fleet.verdict", &self.arrivals[idx as usize].feed, now);
         if let Some(span) = self.spans.remove(&idx) {
             self.obs.span_end(span, now);
         }
@@ -411,7 +319,7 @@ impl Fleet<'_> {
         self.outcomes.push(f.outcome);
         if recycle {
             self.sched
-                .schedule_at(now + restart_delay, FleetEvent::Restart(w));
+                .schedule_at(now + self.sup.cfg.restart_delay, FleetEvent::Restart(w));
         } else {
             self.dispatch(engine, t, w, now);
         }
@@ -419,52 +327,60 @@ impl Fleet<'_> {
 
     /// A scheduled worker fault fires.
     pub(super) fn on_fault(&mut self, w: u32, fault: WorkerFault, now: SimTime) {
-        let (lease_timeout, restart_delay) = {
-            let c = &self.sup().cfg;
-            (c.lease_timeout, c.restart_delay)
-        };
-        let (downed, busy) = {
-            let ws = &self.sup().workers[w as usize];
-            (ws.downed, ws.busy.is_some())
-        };
-        if downed {
+        let cfg = &self.sup.cfg;
+        let (lease_timeout, restart_delay) = (cfg.lease_timeout, cfg.restart_delay);
+        let ws = &mut self.sup.workers[w as usize];
+        if ws.downed {
             return; // already down; the fault hits a dead process
         }
+        let busy = ws.busy.as_ref().map(|f| f.claimed_at);
         match fault {
             WorkerFault::Crash | WorkerFault::Hang => {
-                if fault == WorkerFault::Hang && !busy {
+                if fault == WorkerFault::Hang && busy.is_none() {
                     // Nothing to wedge: an idle hang is unobservable.
                     return;
                 }
-                {
-                    let ws = &mut self.sup().workers[w as usize];
-                    ws.downed = true;
-                    ws.crashed_at = Some(now);
-                }
+                ws.downed = true;
+                ws.crashed_at = Some(now);
+                let token = ws.token;
                 let (counter, point) = match fault {
                     WorkerFault::Crash => ("fleet.faults.crash", "worker.crash"),
                     _ => ("fleet.faults.hang", "worker.hang"),
                 };
                 self.counters.incr(counter);
-                let actor = format!("w{w}");
-                self.obs.point(point, &actor, now);
-                if !busy {
+                self.worker_point(point, w, now);
+                match busy {
+                    // The beats stop now: the lease runs out one
+                    // timeout after the last beat before the fault.
+                    Some(claimed_at) => {
+                        let beats = self.count_beats(claimed_at, now);
+                        let last_beat = claimed_at
+                            + SimDuration::from_millis(
+                                beats * self.sup.cfg.heartbeat_every.as_millis(),
+                            );
+                        self.sched.schedule_at(
+                            last_beat + lease_timeout,
+                            FleetEvent::Revoke { worker: w, token },
+                        );
+                    }
                     // No lease to miss: the supervisor's generic
                     // liveness probe detects an idle death within the
                     // same lease-timeout bound.
-                    self.idle.remove(&w);
-                    self.sched
-                        .schedule_at(now + lease_timeout + restart_delay, FleetEvent::Restart(w));
+                    None => {
+                        self.idle.remove(&w);
+                        self.sched.schedule_at(
+                            now + lease_timeout + restart_delay,
+                            FleetEvent::Restart(w),
+                        );
+                    }
                 }
-                // Busy: heartbeats stop now; the pending lease check
-                // revokes, requeues, and schedules the restart.
             }
             WorkerFault::Restart => {
                 self.counters.incr("fleet.faults.restart");
-                if busy {
-                    self.sup().workers[w as usize].pending_restart = true;
+                if busy.is_some() {
+                    ws.pending_restart = true;
                 } else {
-                    self.sup().workers[w as usize].downed = true;
+                    ws.downed = true;
                     self.idle.remove(&w);
                     self.sched
                         .schedule_at(now + restart_delay, FleetEvent::Restart(w));
@@ -473,8 +389,28 @@ impl Fleet<'_> {
         }
     }
 
-    /// A worker comes back up: new generation, fresh RNG fork, cold
-    /// per-run engine caches — then straight back to work.
+    /// A downed worker's lease runs out: requeue its report and
+    /// schedule the restart.
+    pub(super) fn on_revoke(&mut self, w: u32, token: u64, now: SimTime) {
+        let ws = &mut self.sup.workers[w as usize];
+        if ws.token != token {
+            return;
+        }
+        let Some(f) = ws.busy.take() else { return };
+        ws.token += 1;
+        let idx = f.outcome.idx;
+        self.counters.incr("fleet.lease_revoked");
+        self.worker_point("lease.revoke", w, now);
+        let tries = self.redeliveries.get(&idx).copied().unwrap_or(0) + 1;
+        self.counters.incr("fleet.requeued");
+        self.sched
+            .schedule_at(now, FleetEvent::Redeliver { idx, tries });
+        self.sched
+            .schedule_at(now + self.sup.cfg.restart_delay, FleetEvent::Restart(w));
+    }
+
+    /// A worker comes back up with cold per-run engine caches, then
+    /// goes straight back to work.
     pub(super) fn on_restart(
         &mut self,
         engine: &mut Engine,
@@ -482,29 +418,39 @@ impl Fleet<'_> {
         w: u32,
         now: SimTime,
     ) {
-        let recovered = {
-            let sup = self.sup();
-            let generation = sup.workers[w as usize].generation + 1;
-            let rng = sup.rng_root.fork(&format!("w{w}:gen{generation}"));
-            let ws = &mut sup.workers[w as usize];
-            ws.generation = generation;
-            ws.token += 1;
-            ws.downed = false;
-            ws.pending_restart = false;
-            ws.busy = None;
-            ws.rng = rng;
-            ws.crashed_at.take()
-        };
+        let ws = &mut self.sup.workers[w as usize];
+        ws.token += 1;
+        ws.downed = false;
+        ws.pending_restart = false;
+        ws.busy = None;
+        let recovered = ws.crashed_at.take();
         engine.reset_run_caches();
         self.counters.incr("fleet.restarts");
-        let actor = format!("w{w}");
-        self.obs.point("worker.restart", &actor, now);
+        self.worker_point("worker.restart", w, now);
         if let Some(c) = recovered {
             let ms = now.since(c).as_millis();
-            self.sup().recovery_ms.record(ms);
+            self.sup.recovery_ms.record(ms);
             self.obs.observe("fleet.recovery_ms", ms);
         }
         self.dispatch(engine, t, w, now);
+    }
+
+    /// Count the beats of a lease claimed at `claimed_at` that fell
+    /// strictly before `until`, and return them.
+    fn count_beats(&mut self, claimed_at: SimTime, until: SimTime) -> u64 {
+        let beats = self.sup.cfg.beats_before(claimed_at, until);
+        if beats > 0 {
+            self.counters.add("fleet.heartbeats", beats);
+        }
+        beats
+    }
+
+    /// A point whose actor is worker `w` (the label is only formatted
+    /// when the sink records).
+    fn worker_point(&self, name: &str, w: u32, now: SimTime) {
+        if self.obs.enabled() {
+            self.obs.point(name, &format!("w{w}"), now);
+        }
     }
 }
 
@@ -517,14 +463,14 @@ mod tests {
     use phishsim_phishgen::{
         Brand, CompromisedSite, EvasionTechnique, FakeSiteGenerator, GateConfig, PhishKit,
     };
-    use phishsim_simnet::ScheduledWorkerFault;
+    use phishsim_simnet::{ObsKind, ScheduledWorkerFault};
 
-    fn deploy(hosts: usize) -> (DirectTransport, Vec<Url>) {
+    fn deploy(prefix: &str, seed: u64, hosts: usize) -> (DirectTransport, Vec<Url>) {
         let mut vhosts = VirtualHosting::new();
         let mut urls = Vec::new();
         for i in 0..hosts {
-            let host = format!("fleet-sup-{i}.com");
-            let rng = DetRng::new(41_000 + i as u64);
+            let host = format!("{prefix}-{i}.com");
+            let rng = DetRng::new(seed + i as u64);
             let bundle = FakeSiteGenerator::new(&rng).generate(&host);
             let kit = PhishKit::new(Brand::PayPal, GateConfig::simple(EvasionTechnique::None));
             urls.push(kit.phishing_url(&host));
@@ -551,13 +497,12 @@ mod tests {
             egress_identities: 16,
             egress_per_report: 2,
             volume_scale: 0.0,
-            supervisor: Some(SupervisorConfig::default()),
             ..FleetConfig::default()
         }
     }
 
     fn run_with_faults(cfg: &FleetConfig, n: usize, spacing_ms: u64) -> FleetResult {
-        let (mut t, urls) = deploy(6);
+        let (mut t, urls) = deploy("fleet-sup", 41_000, 6);
         let arrivals = arrivals_for(&urls, n, spacing_ms);
         let rng = DetRng::new(23);
         let mut engine = Engine::new(EngineId::Gsb, &rng);
@@ -696,18 +641,15 @@ mod tests {
         // would be attempt 2, which the budget forbids — the report is
         // parked as poison, visibly, rather than looping forever.
         let cfg = FleetConfig {
-            supervisor: Some(
-                SupervisorConfig {
-                    max_crawl_attempts: 1,
-                    ..SupervisorConfig::default()
-                }
-                .validated(),
-            ),
             worker_faults: WorkerFaultPlan {
                 faults: vec![crash(0, 1_000)],
             },
             ..supervised_cfg()
-        };
+        }
+        .with_supervisor(SupervisorConfig {
+            max_crawl_attempts: 1,
+            ..SupervisorConfig::default()
+        });
         let r = run_with_faults(&cfg, 12, 200);
         assert_eq!(
             r.outcomes.len() + r.poisoned.len(),
@@ -722,22 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_faults_without_supervisor_panic() {
-        let result = std::panic::catch_unwind(|| {
-            let cfg = FleetConfig {
-                workers: 2,
-                volume_scale: 0.0,
-                worker_faults: WorkerFaultPlan {
-                    faults: vec![crash(0, 100)],
-                },
-                ..FleetConfig::default()
-            };
-            run_with_faults(&cfg, 2, 100)
-        });
-        assert!(result.is_err(), "unsupervised worker faults must panic");
-    }
-
-    #[test]
     fn validation_keeps_lease_above_heartbeat() {
         let c = SupervisorConfig {
             heartbeat_every: SimDuration::from_secs(30),
@@ -748,5 +674,182 @@ mod tests {
         .validated();
         assert!(c.lease_timeout > c.heartbeat_every);
         assert_eq!(c.max_crawl_attempts, 1);
+    }
+
+    /// What the supervisor did in one lease-pin scenario.
+    #[derive(Debug, PartialEq)]
+    struct LeasePin {
+        /// When each `lease.revoke` fired, in ms.
+        revokes: Vec<u64>,
+        /// `fleet.recovery_ms`: (count, sum).
+        recovery_ms: (u64, u64),
+        heartbeats: u64,
+        requeued: u64,
+        duplicate_crawls: u64,
+    }
+
+    /// One worker (no stealing) crawling reports arriving at `reports`
+    /// (ms) with a flat 10 s occupancy — so a crawl claimed at `c`
+    /// beats at `c + 1 s, c + 2 s, …` and completes at `c + 10 s` —
+    /// under worker-0 faults at `faults` (ms).
+    fn lease_pin(faults: &[(u64, WorkerFault)], reports: &[u64]) -> LeasePin {
+        let (mut t, urls) = deploy("lease-pin", 5_100, reports.len());
+        let arrivals: Vec<ReportArrival> = reports
+            .iter()
+            .zip(&urls)
+            .map(|(&at, url)| ReportArrival {
+                url: url.clone(),
+                at: SimTime::from_millis(at),
+                feed: "pin".into(),
+                reputation: 500,
+            })
+            .collect();
+        let cfg = FleetConfig {
+            workers: 1,
+            steal_attempts: 0,
+            egress_identities: 4,
+            egress_per_report: 2,
+            volume_scale: 0.0,
+            service: ServiceModel {
+                base: SimDuration::from_secs(10),
+                per_request_ms: 0,
+            },
+            worker_faults: WorkerFaultPlan {
+                faults: faults
+                    .iter()
+                    .map(|&(at, fault)| ScheduledWorkerFault {
+                        worker: 0,
+                        at: SimTime::from_millis(at),
+                        fault,
+                    })
+                    .collect(),
+            }
+            .validated(),
+            ..FleetConfig::default()
+        }
+        .with_supervisor(SupervisorConfig {
+            heartbeat_every: SimDuration::from_secs(1),
+            lease_timeout: SimDuration::from_secs(3),
+            restart_delay: SimDuration::from_secs(2),
+            ..SupervisorConfig::default()
+        });
+        let rng = DetRng::new(61);
+        let mut engine = Engine::new(EngineId::Gsb, &rng);
+        let sink = ObsSink::memory();
+        let r = run_fleet(
+            &mut engine,
+            &mut t,
+            &cfg,
+            &arrivals,
+            &rng.fork("fleet"),
+            &sink,
+        );
+        LeasePin {
+            revokes: sink
+                .events()
+                .iter()
+                .filter(
+                    |e| matches!(&e.kind, ObsKind::Point { name, .. } if name == "lease.revoke"),
+                )
+                .map(|e| e.at.as_millis())
+                .collect(),
+            recovery_ms: (r.recovery_ms.count, r.recovery_ms.sum),
+            heartbeats: r.counters.get("fleet.heartbeats"),
+            requeued: r.counters.get("fleet.requeued"),
+            duplicate_crawls: r.duplicate_crawls,
+        }
+    }
+
+    fn pin(
+        revokes: &[u64],
+        recovery_ms: (u64, u64),
+        heartbeats: u64,
+        requeued: u64,
+        duplicate_crawls: u64,
+    ) -> LeasePin {
+        LeasePin {
+            revokes: revokes.to_vec(),
+            recovery_ms,
+            heartbeats,
+            requeued,
+            duplicate_crawls,
+        }
+    }
+
+    /// Revoke times, recovery latencies and beat counts of crashed and
+    /// hung leases, pinned from the timer-driven supervisor (one
+    /// heartbeat event per beat, a re-arming lease check per claim)
+    /// that the lease arithmetic replaced.
+    #[test]
+    fn lease_arithmetic_matches_the_timer_driven_supervisor() {
+        use WorkerFault::{Crash, Hang, Restart};
+        // Every requeued crawl is claimed again at its restart and
+        // beats 9 more times before it commits.
+        let cases = [
+            ("healthy lease", vec![], vec![0], pin(&[], (0, 0), 9, 0, 0)),
+            (
+                "crash before the first beat",
+                vec![(500, Crash)],
+                vec![0],
+                pin(&[3_000], (1, 4_500), 9, 1, 1),
+            ),
+            (
+                "hang between beats",
+                vec![(2_500, Hang)],
+                vec![0],
+                pin(&[5_000], (1, 4_500), 11, 1, 1),
+            ),
+            (
+                "crash exactly on a beat",
+                vec![(3_000, Crash)],
+                vec![0],
+                pin(&[5_000], (1, 4_000), 11, 1, 1),
+            ),
+            (
+                "hang exactly on a beat",
+                vec![(7_000, Hang)],
+                vec![0],
+                pin(&[9_000], (1, 4_000), 15, 1, 1),
+            ),
+            (
+                "crash on the completion instant",
+                vec![(10_000, Crash)],
+                vec![0],
+                pin(&[12_000], (1, 4_000), 18, 1, 1),
+            ),
+            (
+                "hang on the completion instant",
+                vec![(10_000, Hang)],
+                vec![0],
+                pin(&[12_000], (1, 4_000), 18, 1, 1),
+            ),
+            (
+                "crash with a graceful restart pending",
+                vec![(4_000, Restart), (6_500, Crash)],
+                vec![0],
+                pin(&[9_000], (1, 4_500), 15, 1, 1),
+            ),
+            (
+                "hang on a beat with a graceful restart pending",
+                vec![(4_000, Restart), (6_000, Hang)],
+                vec![0],
+                pin(&[8_000], (1, 4_000), 14, 1, 1),
+            ),
+            (
+                "crash with a report queued behind the lease",
+                vec![(2_500, Crash)],
+                vec![0, 1_000],
+                pin(&[5_000], (1, 4_500), 20, 1, 1),
+            ),
+            (
+                "idle crash",
+                vec![(12_000, Crash)],
+                vec![0, 13_000],
+                pin(&[], (1, 5_000), 18, 0, 0),
+            ),
+        ];
+        for (name, faults, reports, want) in cases {
+            assert_eq!(lease_pin(&faults, &reports), want, "{name}");
+        }
     }
 }

@@ -67,7 +67,7 @@ fn main() {
                 .map(|d| format!("{d:+}m"))
                 .unwrap_or_else(|| "-".into());
             println!(
-                "{:<12} {:>9} {:>8} {:>9}m {:>+7}m {:>10}",
+                "{:<12} {:>9} {:>8} {:>9.1}m {:>+7.1}m {:>10}",
                 t.technique,
                 listed,
                 delta,

@@ -66,11 +66,9 @@ pub struct FleetChaosConfig {
     /// Per-worker graceful-restart probability applied at every chaos
     /// point.
     pub graceful_rate: f64,
-    /// Supervisor template; `lease_timeout` and `restart_delay` are
-    /// overridden per point.
-    pub supervisor: SupervisorConfig,
-    /// Base fleet template; `workers`, `supervisor`, and
-    /// `worker_faults` are overridden per point.
+    /// Base fleet template; `workers`, `worker_faults` and the
+    /// supervisor's `lease_timeout` and `restart_delay` are overridden
+    /// per point.
     pub fleet: FleetConfig,
 }
 
@@ -91,7 +89,6 @@ impl FleetChaosConfig {
             lease_timeouts: vec![SimDuration::from_secs(30), SimDuration::from_secs(90)],
             hang_rate: 0.02,
             graceful_rate: 0.05,
-            supervisor: SupervisorConfig::default(),
             fleet: FleetConfig::default(),
         }
     }
@@ -359,14 +356,12 @@ pub fn run_chaos_point(
     let arrivals = build_arrivals(cfg, &urls, &rng);
     let mut fleet_cfg = cfg.fleet.clone();
     fleet_cfg.workers = cfg.workers;
-    fleet_cfg.supervisor = Some(
-        SupervisorConfig {
-            lease_timeout: point.lease_timeout,
-            restart_delay: point.restart_delay,
-            ..cfg.supervisor.clone()
-        }
-        .validated(),
-    );
+    fleet_cfg.supervisor = SupervisorConfig {
+        lease_timeout: point.lease_timeout,
+        restart_delay: point.restart_delay,
+        ..fleet_cfg.supervisor
+    }
+    .validated();
     fleet_cfg.worker_faults = fault_plan(cfg, point, &rng);
     let mut engine = Engine::new(cfg.engine, &rng).with_obs(obs.clone());
     let fleet_rng = rng.fork(&format!("fleet:{}", point_label(point)));

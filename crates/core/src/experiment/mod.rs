@@ -25,14 +25,10 @@
 //!   restart fault schedules vs the supervised fleet, swept over crash
 //!   rate × restart delay × lease timeout against a fault-free
 //!   baseline.
-//! * [`fleet_main`] — the fleet-backed Table 1 / Table 2 runner:
-//!   verdict parity between the single-engine paths and the fleet
-//!   scheduler.
 
 pub mod cloaking;
 pub mod extension_experiment;
 pub mod fleet_chaos;
-pub mod fleet_main;
 pub mod fleet_sweep;
 pub mod longitudinal;
 pub mod main_experiment;
@@ -49,7 +45,6 @@ pub use fleet_chaos::{
     chaos_points, run_chaos_point, run_fleet_chaos, run_fleet_chaos_with_threads, ChaosPoint,
     ChaosPointReport, FleetChaosConfig, FleetChaosResult,
 };
-pub use fleet_main::{run_fleet_main, FleetMainConfig, FleetMainResult};
 pub use fleet_sweep::{
     fleet_points, run_fleet_point, run_fleet_sweep, run_fleet_sweep_with_threads, FleetPoint,
     FleetPointReport, FleetSweepConfig, FleetSweepResult,

@@ -8,7 +8,7 @@
 //! `#[serde(skip)]` on the underlying configs (sinks, fault profiles)
 //! are either reconstructed by the replayer (sinks) or carried in the
 //! pack's dedicated Faults section. No environment variable changes a
-//! run, so the pack's env section is empty.
+//! run, so none enters the pack.
 //!
 //! Every run of a sweep gets its own tee sink but shares the
 //! recorder's rolling digest, so recording is safe at any

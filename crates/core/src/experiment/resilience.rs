@@ -134,11 +134,12 @@ pub struct TechniqueResilience {
     /// Clients protected before the horizon.
     pub protected: usize,
     /// Median client blind window in minutes.
-    pub p50_exposure_mins: u64,
+    pub p50_exposure_mins: f64,
     /// 95th-percentile client blind window in minutes.
-    pub p95_exposure_mins: u64,
-    /// Median blind-window inflation against the baseline level.
-    pub blind_window_inflation_mins: i64,
+    pub p95_exposure_mins: f64,
+    /// Median blind-window inflation against the baseline level, in
+    /// minutes.
+    pub blind_window_inflation_mins: f64,
 }
 
 /// Everything measured at one intensity level.
@@ -177,7 +178,7 @@ pub fn run_resilience(cfg: &ResilienceConfig) -> ResilienceResult {
 pub fn run_resilience_with_threads(cfg: &ResilienceConfig, threads: usize) -> ResilienceResult {
     let mut levels = Vec::with_capacity(cfg.levels.len());
     // Baseline lookups: technique → (listing delay, p50 exposure).
-    let mut base: BTreeMap<String, (Option<u64>, u64)> = BTreeMap::new();
+    let mut base: BTreeMap<String, (Option<u64>, f64)> = BTreeMap::new();
 
     for intensity in &cfg.levels {
         let mut scale = cfg.scale.clone();
@@ -207,11 +208,7 @@ pub fn run_resilience_with_threads(cfg: &ResilienceConfig, threads: usize) -> Re
             .iter()
             .zip(&population.events)
             .map(|(d, e)| {
-                // The delta table stays in whole minutes: truncating
-                // the (now fractional) percentiles reproduces the old
-                // integer-division values exactly.
-                let p50 = e.p50_exposure_mins as u64;
-                let p95 = e.p95_exposure_mins as u64;
+                let p50 = e.p50_exposure_mins;
                 let (base_delay, base_p50) = base
                     .get(&d.technique)
                     .copied()
@@ -227,8 +224,8 @@ pub fn run_resilience_with_threads(cfg: &ResilienceConfig, threads: usize) -> Re
                     },
                     protected: e.protected,
                     p50_exposure_mins: p50,
-                    p95_exposure_mins: p95,
-                    blind_window_inflation_mins: p50 as i64 - base_p50 as i64,
+                    p95_exposure_mins: e.p95_exposure_mins,
+                    blind_window_inflation_mins: p50 - base_p50,
                 }
             })
             .collect();
@@ -298,7 +295,7 @@ mod tests {
     #[test]
     fn reference_blind_window_is_monotone_in_intensity() {
         let r = run_resilience_with_threads(&tiny(), 2);
-        let p50s: Vec<u64> = r
+        let p50s: Vec<f64> = r
             .levels
             .iter()
             .map(|l| {
@@ -315,12 +312,12 @@ mod tests {
         );
         // The heavy level's two-hour outage visibly inflates it.
         assert!(
-            p50s[3] >= p50s[0] + 60,
+            p50s[3] >= p50s[0] + 60.0,
             "heavy chaos should add an hour-plus: {p50s:?}"
         );
         // Baseline deltas are zero by construction.
         for t in &r.levels[0].techniques {
-            assert_eq!(t.blind_window_inflation_mins, 0);
+            assert_eq!(t.blind_window_inflation_mins, 0.0);
             assert!(t.listing_delay_delta_mins.unwrap_or(0) == 0);
         }
     }

@@ -38,8 +38,8 @@
 //! require_serialize::<phishsim_simnet::runner::SweepProfile>();
 //! ```
 //!
-//! Likewise no environment variable enters a pack: the env section is
-//! recorded empty. The two that remain, `PHISHSIM_SWEEP_THREADS` and
+//! Likewise no environment variable enters a pack. The two the
+//! workspace reads, `PHISHSIM_SWEEP_THREADS` and
 //! `PHISHSIM_SWEEP_MAX_THREADS`, set thread counts, which must never
 //! change a pack; `runpack verify` at 1 and 8 threads proves it.
 

@@ -5,10 +5,10 @@
 //!
 //! ```text
 //! magic  b"PHRP"
-//! varint version (currently 1)
+//! varint version (currently 2)
 //! string experiment name
 //! 8-byte little-endian FNV-1a-64 digest of the experiment name
-//! 7 sections, in fixed id order, each framed as:
+//! 6 sections, in fixed id order, each framed as:
 //!     varint section id
 //!     varint payload length
 //!     payload bytes
@@ -17,8 +17,8 @@
 //!
 //! Every section must be present, in order, exactly once; anything
 //! else — unknown ids, reordered sections, bytes after the last
-//! section, a payload that contradicts its digest — is a typed decode
-//! error. The per-section digests are what `runpack verify` compares:
+//! section, a payload that contradicts its digest, a version other
+//! than the current one — is a typed decode error. The per-section digests are what `runpack verify` compares:
 //! a reproduced run matches the recorded one iff every section digest
 //! matches, and the first *differing* section names the layer to blame
 //! before any event-level bisection starts.
@@ -41,33 +41,32 @@ use std::collections::HashMap;
 /// The four magic bytes every `.runpack` starts with.
 pub const MAGIC: &[u8; 4] = b"PHRP";
 
-/// The current format version.
-pub const VERSION: u64 = 1;
+/// The current format version. Version 1 packs carried an environment
+/// section, always empty; decode refuses them with
+/// [`PackError::BadVersion`].
+pub const VERSION: u64 = 2;
 
-/// The fixed section catalogue of format version 1.
+/// The fixed section catalogue of format version 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum SectionId {
     /// The experiment configuration (self-describing JSON).
     Config = 1,
-    /// Environment gates that are part of run identity.
-    Env = 2,
     /// The fault schedule (serialized `FaultInjector`).
-    Faults = 3,
+    Faults = 2,
     /// The typed observability event streams, one per run.
-    Events = 4,
+    Events = 3,
     /// The merged metrics registry (deterministic JSON).
-    Metrics = 5,
+    Metrics = 4,
     /// State snapshots for time-travel seek.
-    Snapshots = 6,
+    Snapshots = 5,
     /// The experiment's result summary (JSON).
-    Result = 7,
+    Result = 6,
 }
 
 impl SectionId {
     /// Every section, in wire order.
-    pub const ALL: [SectionId; 7] = [
+    pub const ALL: [SectionId; 6] = [
         SectionId::Config,
-        SectionId::Env,
         SectionId::Faults,
         SectionId::Events,
         SectionId::Metrics,
@@ -79,7 +78,6 @@ impl SectionId {
     pub fn name(self) -> &'static str {
         match self {
             SectionId::Config => "config",
-            SectionId::Env => "env",
             SectionId::Faults => "faults",
             SectionId::Events => "events",
             SectionId::Metrics => "metrics",
@@ -125,11 +123,6 @@ pub struct RunPack {
     /// Self-describing configuration JSON (a
     /// `RecordedConfig` in the core crate's vocabulary).
     pub config_json: String,
-    /// Identity-relevant environment variables, sorted by key. The
-    /// recorder writes this section empty: no variable changes what a
-    /// run computes, and thread counts (`PHISHSIM_SWEEP_THREADS`, …)
-    /// must never change a pack.
-    pub env: Vec<(String, String)>,
     /// The fault schedule as JSON (`"null"` when the run had none).
     pub faults_json: String,
     /// Per-run event streams, in recording order.
@@ -227,13 +220,6 @@ impl RunPack {
         let mut buf = Vec::new();
         match section {
             SectionId::Config => put_str(&mut buf, &self.config_json),
-            SectionId::Env => {
-                put_varint(&mut buf, self.env.len() as u64);
-                for (k, v) in &self.env {
-                    put_str(&mut buf, k);
-                    put_str(&mut buf, v);
-                }
-            }
             SectionId::Faults => put_str(&mut buf, &self.faults_json),
             SectionId::Events => self.encode_events(&mut buf),
             SectionId::Metrics => put_str(&mut buf, &self.metrics_json),
@@ -402,16 +388,6 @@ impl RunPack {
         let mut pos = 0;
         match section {
             SectionId::Config => self.config_json = get_str(payload, &mut pos)?,
-            SectionId::Env => {
-                let n = get_count(payload, &mut pos)?;
-                let mut env = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k = get_str(payload, &mut pos)?;
-                    let v = get_str(payload, &mut pos)?;
-                    env.push((k, v));
-                }
-                self.env = env;
-            }
             SectionId::Faults => self.faults_json = get_str(payload, &mut pos)?,
             SectionId::Events => self.read_events(payload, &mut pos)?,
             SectionId::Metrics => self.metrics_json = get_str(payload, &mut pos)?,
@@ -529,10 +505,6 @@ mod tests {
         RunPack {
             experiment: "table2".into(),
             config_json: r#"{"seed":42}"#.into(),
-            env: vec![
-                ("EXAMPLE_GATE".into(), "<unset>".into()),
-                ("EXAMPLE_MODE".into(), "1".into()),
-            ],
             faults_json: "null".into(),
             runs: vec![RunEvents {
                 label: "main".into(),
@@ -608,19 +580,27 @@ mod tests {
     }
 
     #[test]
+    fn version_one_packs_are_refused() {
+        let mut v1 = sample_pack().encode();
+        assert_eq!(v1[4], VERSION as u8);
+        v1[4] = 0x01;
+        assert_eq!(RunPack::decode(&v1), Err(PackError::BadVersion(1)));
+    }
+
+    #[test]
     fn section_digests_cover_all_sections_and_feed_root() {
         let pack = sample_pack();
         let digests = pack.section_digests();
-        assert_eq!(digests.len(), 7);
+        assert_eq!(digests.len(), 6);
         assert_eq!(digests[0].section, SectionId::Config);
-        assert_eq!(digests[6].section, SectionId::Result);
+        assert_eq!(digests[5].section, SectionId::Result);
         // Root digest changes when any section changes.
         let mut other = pack.clone();
         other.result_json = r#"{"detections":9}"#.into();
         assert_ne!(pack.root_digest(), other.root_digest());
         let d2 = other.section_digests();
         assert_eq!(digests[0].digest, d2[0].digest, "config unchanged");
-        assert_ne!(digests[6].digest, d2[6].digest, "result changed");
+        assert_ne!(digests[5].digest, d2[5].digest, "result changed");
     }
 
     #[test]

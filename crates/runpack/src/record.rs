@@ -182,9 +182,6 @@ impl PackRecorder {
         RunPack {
             experiment: self.experiment,
             config_json: self.config_json,
-            // No environment variable changes what a run computes, so
-            // the env section is recorded empty.
-            env: Vec::new(),
             faults_json: self.faults_json,
             runs: self.runs,
             metrics_json: serde_json::to_string(&self.metrics)
@@ -231,7 +228,6 @@ mod tests {
         assert_eq!(pack.total_events(), 4);
         assert_eq!(pack.runs[0].label, "seed:1");
         assert!(pack.metrics_json.contains("engine.reports"));
-        assert!(pack.env.is_empty(), "no variable enters a pack");
         let decoded = RunPack::decode(&pack.encode()).unwrap();
         assert_eq!(decoded, pack.canonicalized());
     }

@@ -6,7 +6,9 @@
 //! event drift vs metrics drift). When the *events* section differs,
 //! the report additionally walks the streams in canonical `(at, seq)`
 //! order and pins the first divergent record: its simulated time,
-//! sequence number, span/point name, and the emitting layer.
+//! sequence number, span/point name, and the emitting layer. A metrics
+//! section that does not parse as a registry fails verification even
+//! when both packs carry the same bytes.
 
 use crate::layer_of;
 use crate::pack::{RunPack, SectionDigest, SectionId};
@@ -78,7 +80,10 @@ pub struct VerifyReport {
     /// The first divergent registry entry, when the metrics section
     /// differs.
     pub metrics: Option<MetricsDivergence>,
-    /// True iff every section digest matches.
+    /// Why a metrics section is not a registry, when one is not.
+    pub metrics_error: Option<String>,
+    /// True iff every section digest matches and both metrics sections
+    /// are registries.
     pub ok: bool,
 }
 
@@ -161,19 +166,23 @@ pub fn first_divergence(
     }
 }
 
-/// Parse a pack's metrics section, tolerating legacy empty bodies.
-fn parse_metrics(json: &str) -> MetricsRegistry {
-    serde_json::from_str(json).unwrap_or_default()
+/// Parse one side's metrics section.
+fn parse_metrics(side: &str, json: &str) -> Result<MetricsRegistry, String> {
+    serde_json::from_str(json).map_err(|e| format!("{side} metrics section is not a registry: {e}"))
 }
 
 /// The first entry at which two packs' metrics registries disagree, if
 /// any: counters, then histograms, then gauges, each walked over the
 /// union of labels in sorted order. A label missing on one side is a
 /// divergence (`absent`), so a lost or spurious metric is pinned just
-/// like a changed count.
-pub fn metrics_divergence(recorded: &RunPack, reproduced: &RunPack) -> Option<MetricsDivergence> {
-    let rec = parse_metrics(&recorded.metrics_json);
-    let rep = parse_metrics(&reproduced.metrics_json);
+/// like a changed count. Errs when either metrics section does not
+/// parse as a registry.
+pub fn metrics_divergence(
+    recorded: &RunPack,
+    reproduced: &RunPack,
+) -> Result<Option<MetricsDivergence>, String> {
+    let rec = parse_metrics("recorded", &recorded.metrics_json)?;
+    let rep = parse_metrics("reproduced", &reproduced.metrics_json)?;
 
     fn first_diff<'a, V: PartialEq, I: Iterator<Item = (&'a str, V)>>(
         kind: &str,
@@ -205,7 +214,7 @@ pub fn metrics_divergence(recorded: &RunPack, reproduced: &RunPack) -> Option<Me
         None
     }
 
-    first_diff(
+    Ok(first_diff(
         "counter",
         || rec.counters(),
         || rep.counters(),
@@ -226,7 +235,7 @@ pub fn metrics_divergence(recorded: &RunPack, reproduced: &RunPack) -> Option<Me
             || rep.gauges(),
             |g| format!("value={} at={}ms", g.value, g.at.as_millis()),
         )
-    })
+    }))
 }
 
 /// Compare a reproduced pack against the recorded one.
@@ -274,16 +283,16 @@ pub fn verify_against(recorded: &RunPack, reproduced: &RunPack) -> VerifyReport 
             }
         }
     }
-    let metrics = sections
-        .iter()
-        .any(|c| c.section == SectionId::Metrics && !c.matches)
-        .then(|| metrics_divergence(recorded, reproduced))
-        .flatten();
-    let ok = sections.iter().all(|c| c.matches);
+    let (metrics, metrics_error) = match metrics_divergence(recorded, reproduced) {
+        Ok(metrics) => (metrics, None),
+        Err(e) => (None, Some(e)),
+    };
+    let ok = sections.iter().all(|c| c.matches) && metrics_error.is_none();
     VerifyReport {
         sections,
         divergence,
         metrics,
+        metrics_error,
         ok,
     }
 }
@@ -306,6 +315,7 @@ mod tests {
                 label: "main".into(),
                 events: sink.events(),
             }],
+            metrics_json: serde_json::to_string(&MetricsRegistry::new()).unwrap(),
             ..RunPack::default()
         }
     }
@@ -316,7 +326,7 @@ mod tests {
         let report = verify_against(&a, &a.clone());
         assert!(report.ok);
         assert!(report.divergence.is_none());
-        assert_eq!(report.sections.len(), 7);
+        assert_eq!(report.sections.len(), 6);
         assert!(report.sections.iter().all(|c| c.matches));
     }
 
@@ -379,7 +389,9 @@ mod tests {
         let mut b = a.clone();
         a.metrics_json = serde_json::to_string(&ra).unwrap();
         b.metrics_json = serde_json::to_string(&rb).unwrap();
-        let m = metrics_divergence(&a, &b).expect("registries differ");
+        let m = metrics_divergence(&a, &b)
+            .unwrap()
+            .expect("registries differ");
         assert_eq!(m.kind, "counter");
         assert_eq!(m.label, "worker.orphan");
         assert_eq!(m.layer, "antiphish");
@@ -400,12 +412,31 @@ mod tests {
         let mut b = a.clone();
         a.metrics_json = serde_json::to_string(&ra).unwrap();
         b.metrics_json = serde_json::to_string(&rb).unwrap();
-        let m = metrics_divergence(&a, &b).expect("histograms differ");
+        let m = metrics_divergence(&a, &b)
+            .unwrap()
+            .expect("histograms differ");
         assert_eq!(m.kind, "histogram");
         assert_eq!(m.label, "fleet.recovery_ms");
         assert_eq!(m.recorded, "count=1 sum=100");
         assert_eq!(m.reproduced, "count=2 sum=1000");
-        assert!(metrics_divergence(&a, &a.clone()).is_none());
+        assert!(metrics_divergence(&a, &a.clone()).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_metrics_section_that_is_not_a_registry_fails_verification() {
+        let mut a = pack_with(&["browser.visit"]);
+        a.metrics_json = "[1,2]".into();
+        // Equal bytes on both sides: every digest matches, and still
+        // the pack does not verify.
+        let report = verify_against(&a, &a.clone());
+        assert!(report.sections.iter().all(|c| c.matches));
+        assert!(!report.ok);
+        let err = report.metrics_error.expect("metrics error reported");
+        assert!(err.starts_with("recorded metrics section"), "{err}");
+        // A broken reproduction is named as such.
+        let good = pack_with(&["browser.visit"]);
+        let err = verify_against(&good, &a).metrics_error.expect("reported");
+        assert!(err.starts_with("reproduced metrics section"), "{err}");
     }
 
     #[test]

@@ -56,7 +56,6 @@ fn pack_strategy() -> impl Strategy<Value = RunPack> {
     (
         "[a-z_]{1,12}",
         "[a-z0-9:{}\",]{0,40}",
-        proptest::collection::vec(("[A-Z_]{1,10}", "[a-z0-9]{0,6}"), 0..4),
         proptest::collection::vec(
             (
                 "[a-z:0-9]{1,10}",
@@ -66,10 +65,9 @@ fn pack_strategy() -> impl Strategy<Value = RunPack> {
         ),
         proptest::collection::vec((any::<u32>(), "[a-z.]{1,12}", "[a-z0-9{}\"]{0,30}"), 0..4),
     )
-        .prop_map(|(experiment, json, env, runs, snaps)| RunPack {
+        .prop_map(|(experiment, json, runs, snaps)| RunPack {
             experiment,
             config_json: json.clone(),
-            env,
             faults_json: "null".to_string(),
             runs: runs
                 .into_iter()

@@ -168,9 +168,7 @@ impl WorkerFaultPlan {
         WorkerFaultPlan::default()
     }
 
-    /// Whether the plan schedules nothing (serde skips empty plans so
-    /// packs recorded before worker faults existed round-trip
-    /// byte-identically).
+    /// Whether the plan schedules nothing.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
     }
@@ -323,7 +321,7 @@ impl TierOutagePlan {
 /// Struct-literal construction is still possible because the fields are
 /// public; consumers that accept externally-built injectors should call
 /// `validated()` before use.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FaultInjector {
     /// Probability in `[0, 1]` that an exchange is dropped outright.
     pub drop_chance: f64,
@@ -341,54 +339,8 @@ pub struct FaultInjector {
     pub congestion: Option<(f64, SimDuration)>,
     /// Scheduled windows during which the far end is down entirely.
     pub outages: Vec<OutageWindow>,
-    /// Scheduled faults against individual fleet workers. Serialized
-    /// only when non-empty so injectors recorded before worker faults
-    /// existed round-trip byte-identically.
+    /// Scheduled faults against individual fleet workers.
     pub worker_faults: WorkerFaultPlan,
-}
-
-// Serde impls are hand-written (the workspace derive has no
-// `skip_serializing_if`): `worker_faults` is omitted when empty and
-// optional on read, so `faults_json` recorded by older runpacks stays
-// byte-stable through a parse/re-serialize round trip.
-impl Serialize for FaultInjector {
-    fn to_value(&self) -> serde::Value {
-        let mut obj = serde::Map::new();
-        obj.insert("drop_chance".into(), self.drop_chance.to_value());
-        obj.insert("duplicate_chance".into(), self.duplicate_chance.to_value());
-        obj.insert("error_chance".into(), self.error_chance.to_value());
-        obj.insert("truncate_chance".into(), self.truncate_chance.to_value());
-        obj.insert("congestion".into(), self.congestion.to_value());
-        obj.insert("outages".into(), self.outages.to_value());
-        if !self.worker_faults.is_empty() {
-            obj.insert("worker_faults".into(), self.worker_faults.to_value());
-        }
-        serde::Value::Object(obj)
-    }
-}
-
-impl Deserialize for FaultInjector {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("FaultInjector: expected object"))?;
-        fn field<T: Deserialize + Default>(
-            obj: &serde::Map,
-            name: &str,
-        ) -> Result<T, serde::DeError> {
-            obj.get(name)
-                .map_or_else(|| Ok(T::default()), T::from_value)
-        }
-        Ok(FaultInjector {
-            drop_chance: field(obj, "drop_chance")?,
-            duplicate_chance: field(obj, "duplicate_chance")?,
-            error_chance: field(obj, "error_chance")?,
-            truncate_chance: field(obj, "truncate_chance")?,
-            congestion: field(obj, "congestion")?,
-            outages: field(obj, "outages")?,
-            worker_faults: field(obj, "worker_faults")?,
-        })
-    }
 }
 
 impl Default for FaultInjector {
@@ -963,15 +915,24 @@ mod tests {
     }
 
     #[test]
-    fn empty_worker_fault_plan_keeps_the_legacy_json_shape() {
-        // Committed runpacks carry `faults_json` recorded before worker
-        // faults existed; the new field must be invisible when empty so
-        // their byte-identity checks keep passing.
-        let json = serde_json::to_string(&FaultInjector::none()).unwrap();
-        assert!(!json.contains("worker_faults"), "got {json}");
-        let back: FaultInjector = serde_json::from_str(&json).unwrap();
-        assert!(back.worker_faults.is_empty());
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    fn injectors_round_trip_through_json_with_and_without_a_plan() {
+        let plan = WorkerFaultPlan {
+            faults: vec![ScheduledWorkerFault {
+                worker: 2,
+                at: SimTime::from_millis(1_500),
+                fault: WorkerFault::Hang,
+            }],
+        };
+        for f in [
+            FaultInjector::none(),
+            FaultInjector::chaos_profile().with_worker_faults(plan),
+        ] {
+            let json = serde_json::to_string(&f).unwrap();
+            assert!(json.contains("\"worker_faults\""), "got {json}");
+            let back: FaultInjector = serde_json::from_str(&json).unwrap();
+            assert_eq!(back.worker_faults, f.worker_faults);
+            assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        }
     }
 
     #[test]

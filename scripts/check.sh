@@ -51,7 +51,7 @@ done
 # `default-members` makes the plain `cargo test` run every crate's unit
 # tests, proptests and doctests plus the root package's; raise the floor
 # when adding tests, never lower it to get a pass.
-TEST_FLOOR=827
+TEST_FLOOR=831
 
 # Where the determinism smokes leave their reduced-size records and
 # packs (CI uploads this directory).
@@ -187,9 +187,12 @@ perf() {
 
 # Rerun every row of the MANIFEST, require each artifact to equal the
 # one committed at HEAD, and put the committed files back. Host-timing
-# records (BENCH_*.json) a bin rewrites are put back unread.
+# records (BENCH_*.json) a bin rewrites are put back unread. Every
+# artifact that differs is named before the stage fails, so a change
+# that moves records on purpose sees exactly which ones moved.
 regen() {
   local bin args artifacts listed f
+  local moved=()
   listed="$(mktemp)"
   while IFS=: read -r bin artifacts; do
     [ -n "$bin" ] || continue
@@ -217,13 +220,18 @@ regen() {
     for f in $artifacts; do
       if ! git show "HEAD:results/$f" | cmp -s - "results/$f"; then
         echo "$bin $args: results/$f differs from the committed one" >&2
-        exit 1
+        moved+=("results/$f")
       fi
     done
   done <<<"$MANIFEST"
   if [ -n "$(git ls-files --others --exclude-standard results/)" ]; then
     echo "the bins wrote artifacts the manifest does not list:" >&2
     git ls-files --others --exclude-standard results/ >&2
+    exit 1
+  fi
+  if [ "${#moved[@]}" -gt 0 ]; then
+    echo "${#moved[@]} artifact(s) differ from HEAD:" >&2
+    printf '  %s\n' "${moved[@]}" >&2
     exit 1
   fi
   restore

@@ -38,10 +38,6 @@ fn load(path: &str) -> Result<RunPack, String> {
 fn info(pack: &RunPack) {
     println!("experiment:  {}", pack.experiment);
     println!("root digest: {:#018x}", pack.root_digest());
-    println!("env:");
-    for (k, v) in &pack.env {
-        println!("  {k}={v}");
-    }
     println!("sections:");
     for d in pack.section_digests() {
         println!(
@@ -93,6 +89,9 @@ fn verify(path: &str) -> ExitCode {
     if let Some(m) = &report.metrics {
         print_metrics_divergence(m);
     }
+    if let Some(e) = &report.metrics_error {
+        eprintln!("runpack: {e}");
+    }
     match (&report.ok, &report.divergence) {
         (true, _) => {
             println!("verified: byte-for-byte");
@@ -111,7 +110,9 @@ fn verify(path: &str) -> ExitCode {
             );
             ExitCode::FAILURE
         }
-        (false, None) if report.metrics.is_some() => ExitCode::FAILURE,
+        (false, None) if report.metrics.is_some() || report.metrics_error.is_some() => {
+            ExitCode::FAILURE
+        }
         (false, None) => {
             eprintln!("sections differ but event streams match (config/metadata drift)");
             ExitCode::FAILURE
@@ -134,7 +135,13 @@ fn bisect_cmd(left_path: &str, right_path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let metrics = metrics_divergence(&left, &right);
+    let metrics = match metrics_divergence(&left, &right) {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("runpack: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     match bisect(&left, &right) {
         None => {
             match &metrics {
