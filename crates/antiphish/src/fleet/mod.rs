@@ -279,10 +279,11 @@ struct Fleet<'a> {
     idle: BTreeSet<u32>,
     steal_rng: DetRng,
     counters: CounterSet,
-    /// Open `fleet.report` span per report index, and the redelivery
-    /// count of each redelivered report: one insert per arrival, so
-    /// both hash with the simulation's fast hasher.
-    spans: HashMap<u32, SpanId, BuildSymHasher>,
+    /// Open `fleet.report` span per report index, `SpanId::NONE` when
+    /// none is open (always, on a `Null` sink).
+    spans: Vec<SpanId>,
+    /// The redelivery count of each redelivered report, hashed with
+    /// the simulation's fast hasher.
     redeliveries: HashMap<u32, u32, BuildSymHasher>,
     outcomes: Vec<FleetOutcome>,
     queue_wait_ms: LogHistogram,
@@ -296,10 +297,9 @@ impl Fleet<'_> {
     fn handle_intake(&mut self, idx: u32, tries: u32, now: SimTime) -> Option<u32> {
         let arrival = &self.arrivals[idx as usize];
         if tries == 0 {
-            let span = self
-                .obs
-                .span_start(None, "fleet.report", &arrival.feed, now);
-            self.spans.insert(idx, span);
+            self.spans[idx as usize] =
+                self.obs
+                    .span_start(None, "fleet.report", &arrival.feed, now);
         }
         // Feed outage: park the report until the window lifts.
         if let Some(w) = self.cfg.outages.iter().find(|w| w.contains(now)) {
@@ -355,6 +355,14 @@ impl Fleet<'_> {
             Some(owner)
         } else {
             self.idle.iter().next().copied()
+        }
+    }
+
+    /// Close report `idx`'s `fleet.report` span at `now`, if one is open.
+    fn end_report_span(&mut self, idx: u32, now: SimTime) {
+        let span = std::mem::replace(&mut self.spans[idx as usize], SpanId::NONE);
+        if span != SpanId::NONE {
+            self.obs.span_end(span, now);
         }
     }
 
@@ -415,7 +423,7 @@ pub fn run_fleet(
         idle: (0..cfg.workers as u32).collect(),
         steal_rng: rng.fork("fleet-steal"),
         counters: CounterSet::new(),
-        spans: HashMap::default(),
+        spans: vec![SpanId::NONE; arrivals.len()],
         redeliveries: HashMap::default(),
         outcomes: Vec::with_capacity(arrivals.len()),
         queue_wait_ms: LogHistogram::default(),

@@ -198,9 +198,7 @@ impl Fleet<'_> {
                 self.counters.incr("fleet.poisoned");
                 self.obs
                     .point("fleet.poisoned", &arrivals[idx as usize].feed, now);
-                if let Some(span) = self.spans.remove(&idx) {
-                    self.obs.span_end(span, now);
-                }
+                self.end_report_span(idx, now);
                 continue;
             }
             self.sup.attempts[idx as usize] = attempts + 1;
@@ -239,8 +237,9 @@ impl Fleet<'_> {
         // can time it; its simulated end is the completion time. A
         // crawl whose lease is later revoked is marked by the
         // `lease.revoke` point.
+        let report_span = self.spans[report.idx as usize];
         let crawl_span = self.obs.span_start(
-            self.spans.get(&report.idx).copied(),
+            (report_span != SpanId::NONE).then_some(report_span),
             "fleet.crawl",
             &arrival.feed,
             dispatched_at,
@@ -303,9 +302,7 @@ impl Fleet<'_> {
         let idx = f.outcome.idx;
         self.obs
             .point("fleet.verdict", &self.arrivals[idx as usize].feed, now);
-        if let Some(span) = self.spans.remove(&idx) {
-            self.obs.span_end(span, now);
-        }
+        self.end_report_span(idx, now);
         self.queue_wait_ms.record(f.outcome.queue_wait_ms);
         self.obs
             .observe("fleet.queue_wait_ms", f.outcome.queue_wait_ms);

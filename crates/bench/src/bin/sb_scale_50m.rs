@@ -42,11 +42,11 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Peak RSS of the full sweep on a 2-vCPU host: 118 MB on one thread,
-/// ~187 MB on 2 to 16, 274 MB on 32 and 435 MB on 64. The cohort table
-/// build holds one row map per thread (never an entry per client), and
-/// past 16 threads each adds about 5 MB, so this ceiling holds up to
-/// 64 threads. On a larger host, cap the count with
+/// Peak RSS of the full sweep on a 2-vCPU host: 68 MB on one thread,
+/// 70 MB on two, 168 MB on 16, 266-283 MB on 32 and 448 MB on 64. The
+/// cohort table build holds one row map per thread (never an entry per
+/// client), and past two threads each adds about 6 MB, so this ceiling
+/// holds up to 64 threads. On a larger host, cap the count with
 /// `PHISHSIM_SWEEP_MAX_THREADS=64` or pin `PHISHSIM_SWEEP_THREADS`.
 const PEAK_RSS_CEILING: u64 = 512 << 20;
 const SYNC_BYTES_PER_CLIENT_CEILING: f64 = 256_000.0;

@@ -263,12 +263,16 @@ pub(crate) fn build_feed(
         churn_at += cfg.churn_every;
     }
 
+    // The feed stays sorted: the stable sort takes the sorted feed as
+    // one run and merges the appended batch into it, so a publication
+    // does not sort the whole feed again.
     let mut server = FeedServer::new(cfg.server.clone());
     let mut feed: Vec<u64> = (0..cfg.baseline_hashes).map(|_| background()).collect();
     feed.sort_unstable();
     server.publish(feed.iter().copied(), SimTime::ZERO);
     for (at, mut batch) in additions {
         feed.append(&mut batch);
+        feed.sort();
         server.publish(feed.iter().copied(), at);
     }
     (server, events)

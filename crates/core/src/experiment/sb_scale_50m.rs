@@ -7,8 +7,8 @@
 //! with the same quantized (mirror, period, phase, aggressive)
 //! schedule into one weighted walk, so the walk cost scales with the
 //! *schedule grid* (~10⁵ rows) instead of the population, and the
-//! per-event exposure state is a weighted histogram instead of a
-//! per-client vector. This module sweeps that machinery over
+//! per-event exposure state is sorted `(exposure_ms, clients)` runs
+//! instead of a per-client vector. This module sweeps that machinery over
 //! escalating populations (default 10⁶ / 10⁷ / 5×10⁷) behind a
 //! regional mirror tier and holds the smallest cohort point against
 //! the *exact* walk of the same population:
@@ -26,7 +26,7 @@
 //! Byte-identical for any `PHISHSIM_SWEEP_THREADS`: the feed timeline
 //! is built once, cohort construction fills one row map per thread
 //! range and sums them key by key into canonical key order, and row
-//! walks merge weighted histograms commutatively.
+//! walks merge their exposure runs by summing equal exposures.
 
 use crate::experiment::main_experiment::run_main_experiment;
 use crate::experiment::sb_scale::{build_feed, delays_from_result, SbScaleConfig, TechniqueDelay};

@@ -17,7 +17,7 @@
 //! down mirror go unanswered exactly like an origin outage, feeding
 //! the existing client backoff discipline.
 
-use crate::server::{FeedServer, Serve, UpdateResponse};
+use crate::server::{FeedServer, Serve, TimelineCursor, UpdateResponse};
 use crate::tally::{Counter, Tally};
 use phishsim_simnet::{SimDuration, SimTime, TierOutagePlan};
 use serde::{Deserialize, Serialize};
@@ -49,8 +49,9 @@ impl Default for MirrorConfig {
 }
 
 /// One mirror's precomputed refresh timeline plus the tier-wide
-/// bookkeeping. Built once per run; all queries are read-only binary
-/// searches, so the parallel population walk shares it freely.
+/// bookkeeping. Built once per run; all queries are read-only (binary
+/// searches, or a walk's own cursor), so the parallel population walk
+/// shares it freely.
 #[derive(Debug, Clone)]
 pub struct MirrorTier {
     outages: TierOutagePlan,
@@ -116,6 +117,20 @@ impl MirrorTier {
         tl[idx - 1].1
     }
 
+    /// The origin version mirror `m` serves at `now`, found by stepping
+    /// `cursor` forward through its refreshes: [`MirrorTier::version_at`]
+    /// for a walk whose clock never goes back.
+    pub(crate) fn version_from(
+        &self,
+        mirror: u32,
+        cursor: &mut TimelineCursor,
+        now: SimTime,
+    ) -> u64 {
+        cursor
+            .seek(&self.timelines[mirror as usize], now, |&(at, _)| at)
+            .1
+    }
+
     /// How stale mirror `m` is at `now`: time since its last completed
     /// refresh (mirrors that never refreshed are stale since ZERO).
     pub fn staleness_at(&self, mirror: u32, now: SimTime) -> SimDuration {
@@ -135,18 +150,21 @@ impl MirrorTier {
     }
 
     /// An update fetch routed through mirror `mirror` on behalf of
-    /// `weight` identical clients. A down mirror answers nothing
-    /// (counted as `update.unavailable`, same as an origin outage, so
-    /// client backoff behaviour is tier-agnostic); otherwise the
-    /// origin's serving decision runs against the mirror's possibly
-    /// stale refreshed version. Serves that hand out an older version
-    /// than the origin currently holds are counted as
+    /// `weight` identical clients, where `served` is the version the
+    /// mirror serves at `now` and `visible` the origin's. A down mirror
+    /// answers nothing (counted as `update.unavailable`, same as an
+    /// origin outage, so client backoff behaviour is tier-agnostic);
+    /// otherwise the origin's serving decision runs against the
+    /// mirror's possibly stale refreshed version. Serves that hand out
+    /// an older version than the origin currently holds are counted as
     /// `mirror.stale_serves`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn serve(
         &self,
         server: &FeedServer,
         mirror: u32,
+        served: u64,
+        visible: u64,
         client_version: Option<u64>,
         last_fetch: Option<SimTime>,
         now: SimTime,
@@ -158,11 +176,10 @@ impl MirrorTier {
             tally.add(Counter::MirrorUnavailable, weight);
             return Serve::Unavailable;
         }
-        let target = self.version_at(mirror, now);
-        if target < server.version_at(now) {
+        if served < visible {
             tally.add(Counter::MirrorStaleServes, weight);
         }
-        server.decide(client_version, last_fetch, now, target, weight, tally)
+        server.decide(client_version, last_fetch, now, served, weight, tally)
     }
 
     /// One client's update fetch through mirror `mirror`, counted
@@ -179,6 +196,8 @@ impl MirrorTier {
         let serve = self.serve(
             server,
             mirror,
+            self.version_at(mirror, now),
+            server.version_at(now),
             client_version,
             last_fetch,
             now,
@@ -253,15 +272,9 @@ mod tests {
         // clients just get the stale version. A cohort of seven counts
         // seven times.
         let mut tally = Tally::default();
-        let serve = tier.serve(
-            &server,
-            0,
-            None,
-            None,
-            SimTime::from_mins(20),
-            7,
-            &mut tally,
-        );
+        let now = SimTime::from_mins(20);
+        let (served, visible) = (tier.version_at(0, now), server.version_at(now));
+        let serve = tier.serve(&server, 0, served, visible, None, None, now, 7, &mut tally);
         let Serve::FullReset { version, .. } = serve else {
             panic!("expected a (stale) full reset, got {serve:?}");
         };
@@ -295,15 +308,9 @@ mod tests {
         let tier = MirrorTier::build(&cfg, &server, SimTime::from_hours(1));
         // Mirror 0 is down: unavailable to clients, refreshes skipped.
         let mut tally = Tally::default();
-        let serve = tier.serve(
-            &server,
-            0,
-            None,
-            None,
-            SimTime::from_mins(20),
-            3,
-            &mut tally,
-        );
+        let now = SimTime::from_mins(20);
+        let (served, visible) = (tier.version_at(0, now), server.version_at(now));
+        let serve = tier.serve(&server, 0, served, visible, None, None, now, 3, &mut tally);
         assert_eq!(serve, Serve::Unavailable);
         assert_eq!(tally.get(Counter::UpdateUnavailable), 3);
         assert_eq!(tally.get(Counter::MirrorUnavailable), 3);

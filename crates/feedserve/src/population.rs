@@ -25,7 +25,7 @@
 //! listing" reduces to `version >= first_version_containing(prefix)`.
 //! Wire bytes are accounted from the servers' cached encoded sizes.
 //! Every client derives its schedule from `fork_indexed(seed, index)`,
-//! and batch results merge in input order, so the whole report is
+//! and batch results merge as sums, so the whole report is
 //! byte-identical at any thread count.
 //!
 //! Two walk modes share one step function ([`walk_schedule`]):
@@ -34,22 +34,30 @@
 //! * **cohort** ([`PopulationConfig::cohorts`]) — clients collapse
 //!   onto a quantized schedule grid ([`crate::cohort::CohortTable`])
 //!   and each cohort walks once with every counter weighted by its
-//!   size. Per-event exposures accumulate as weighted histograms
-//!   rather than per-client vectors, which is what makes 50M+ clients
-//!   fit in memory; the quantization error is bounded by
+//!   size; the quantization error is bounded by
 //!   [`crate::cohort::CohortSpec::error_bound`].
+//!
+//! In both modes a walked schedule adds one `(exposure_ms, clients)`
+//! pair per protected event. A batch sorts its pairs and coalesces
+//! equal exposures once, at its end; the merge appends the batches'
+//! runs, newest batch first, and coalesces once more, so each event's
+//! exposures reach `summarize_event` as sorted runs whose length is
+//! the number of distinct exposures, not of clients. Within one walk
+//! the clock only grows, so the versions the origin and the client's
+//! mirror serve are followed by forward-only cursors, and a protecting
+//! sync's full-hash answer is read from a per-walk table of negative
+//! answers by (event, version).
 
 use crate::client::FeedClient;
 use crate::cohort::{CohortSpec, CohortTable, COHORT_ROW_BYTES};
 use crate::mirror::{MirrorConfig, MirrorTier};
-use crate::server::{FeedServer, Serve};
+use crate::server::{FeedServer, Serve, TimelineCursor};
 use crate::store::prefix_of;
 use crate::tally::{Counter, Tally};
 use phishsim_simnet::metrics::CounterSet;
 use phishsim_simnet::runner::{run_sweep_with_threads, sweep_threads};
 use phishsim_simnet::{DetRng, IndexedForks, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Population-simulation knobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -241,6 +249,9 @@ struct WalkCtx<'a> {
     tier: Option<&'a MirrorTier>,
     events: &'a [ListingEvent],
     first_versions: &'a [Option<u64>],
+    /// Per event, per version (index `version - 1`): whether a
+    /// full-hash lookup of the event's prefix answers nothing.
+    negatives: &'a [Vec<bool>],
     horizon: SimTime,
     min_wait: SimDuration,
 }
@@ -258,9 +269,10 @@ struct WalkParams<'a> {
 }
 
 struct BatchOut {
-    /// Per event: weighted histogram of protected clients' exposure
-    /// windows (exposure ms → clients).
-    protected: Vec<BTreeMap<u64, u64>>,
+    /// Per event: protected clients' exposure windows as
+    /// `(exposure_ms, clients)` pairs, in walk order until
+    /// [`BatchOut::finish`] sorts and coalesces them into runs.
+    protected: Vec<Vec<(u64, u64)>>,
     /// Per event: clients still unprotected at the horizon.
     unprotected: Vec<u64>,
     tally: Tally,
@@ -270,12 +282,61 @@ struct BatchOut {
 impl BatchOut {
     fn new(events: usize) -> Self {
         BatchOut {
-            protected: vec![BTreeMap::new(); events],
+            protected: vec![Vec::new(); events],
             unprotected: vec![0; events],
             tally: Tally::default(),
             fetches: 0,
         }
     }
+
+    /// The batch's end: sort every event's pairs and coalesce equal
+    /// exposures into one run each.
+    fn finish(mut self) -> Self {
+        for runs in &mut self.protected {
+            coalesce(runs);
+        }
+        self
+    }
+
+    /// Sum finished batches, dropping each once its runs are appended,
+    /// and coalesce the appended runs once. Every field is a sum, so
+    /// the result depends neither on the split nor on the order.
+    ///
+    /// Batches are folded in newest first: each one dropped is then the
+    /// latest allocation still live, so the allocator can return its
+    /// memory while the merged runs fill, and the merge does not hold
+    /// every batch and the merged runs at once (a full `sb_scale_50m`
+    /// peaked at 108 MiB folding oldest first, 64 MiB newest first).
+    fn merge(outs: Vec<BatchOut>, events: usize) -> BatchOut {
+        let mut merged = BatchOut::new(events);
+        for (e, runs) in merged.protected.iter_mut().enumerate() {
+            runs.reserve_exact(outs.iter().map(|out| out.protected[e].len()).sum());
+        }
+        for out in outs.into_iter().rev() {
+            for (acc, part) in merged.protected.iter_mut().zip(out.protected) {
+                acc.extend(part);
+            }
+            for (acc, part) in merged.unprotected.iter_mut().zip(&out.unprotected) {
+                *acc += part;
+            }
+            merged.tally.merge(&out.tally);
+            merged.fetches += out.fetches;
+        }
+        merged.finish()
+    }
+}
+
+/// Sort `(exposure_ms, clients)` pairs by exposure and add up the
+/// clients of equal exposures: one run per distinct exposure.
+fn coalesce(runs: &mut Vec<(u64, u64)>) {
+    runs.sort_unstable_by_key(|&(exposure, _)| exposure);
+    runs.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
 }
 
 /// Walk one schedule through the sync loop: the shared step function
@@ -290,6 +351,8 @@ fn walk_schedule(
     let mut version: u64 = 0;
     let mut last_fetch: Option<SimTime> = None;
     let mut streak: u32 = 0;
+    let mut origin = TimelineCursor::default();
+    let mut refreshes = TimelineCursor::default();
     protected_at.clear();
     protected_at.resize(ctx.events.len(), None);
 
@@ -307,19 +370,27 @@ fn walk_schedule(
             }
         }
         let client_version = (version > 0).then_some(version);
+        let visible = ctx.server.version_from(&mut origin, t);
         let serve = match ctx.tier {
             Some(tier) => tier.serve(
                 ctx.server,
                 p.mirror,
+                tier.version_from(p.mirror, &mut refreshes, t),
+                visible,
                 client_version,
                 last_fetch,
                 t,
                 p.weight,
                 &mut out.tally,
             ),
-            None => ctx
-                .server
-                .serve(client_version, last_fetch, t, p.weight, &mut out.tally),
+            None => ctx.server.serve(
+                visible,
+                client_version,
+                last_fetch,
+                t,
+                p.weight,
+                &mut out.tally,
+            ),
         };
         match serve {
             Serve::Backoff { retry_after } => {
@@ -349,11 +420,11 @@ fn walk_schedule(
                     if version >= *v {
                         protected_at[e] = Some(t);
                         // The user's next visit now prefix-hits and
-                        // resolves through a full-hash lookup; only
-                        // its counts matter here.
-                        ctx.server.lookup_full_hashes(
-                            prefix_of(ctx.events[e].full_hash),
-                            t,
+                        // resolves through a full-hash lookup against
+                        // the origin's visible version; only its
+                        // counts matter here.
+                        ctx.server.count_full_hash_lookup(
+                            ctx.negatives[e][visible as usize - 1],
                             p.weight,
                             &mut out.tally,
                         );
@@ -383,7 +454,7 @@ fn record_outcome(
         match protected_at[e] {
             Some(when) => {
                 let exposure = when.since(event.listed_at).as_millis();
-                *out.protected[e].entry(exposure).or_insert(0) += weight;
+                out.protected[e].push((exposure, weight));
             }
             None => out.unprotected[e] += weight,
         }
@@ -412,7 +483,7 @@ fn walk_batch(ctx: &WalkCtx<'_>, root: &DetRng, start: usize, end: usize) -> Bat
         );
         record_outcome(&mut out, ctx.events, &protected_at, 1);
     }
-    out
+    out.finish()
 }
 
 /// Cohort rows per work-stealing batch. Fixed (not thread-derived) so
@@ -441,7 +512,7 @@ fn walk_cohort_rows(ctx: &WalkCtx<'_>, table: &CohortTable, start: usize, end: u
         );
         record_outcome(&mut out, ctx.events, &protected_at, r.count);
     }
-    out
+    out.finish()
 }
 
 /// Run the population on the default thread count.
@@ -467,6 +538,10 @@ pub fn run_population_with_threads(
         .iter()
         .map(|e| server.first_version_containing(prefix_of(e.full_hash)))
         .collect();
+    let negatives: Vec<Vec<bool>> = events
+        .iter()
+        .map(|e| server.negative_answers(prefix_of(e.full_hash)))
+        .collect();
 
     let horizon = SimTime::ZERO + cfg.horizon;
     let tier = cfg
@@ -479,6 +554,7 @@ pub fn run_population_with_threads(
         tier: tier.as_ref(),
         events,
         first_versions: &first_versions,
+        negatives: &negatives,
         horizon,
         min_wait: server.config().min_wait,
     };
@@ -513,26 +589,11 @@ pub fn run_population_with_threads(
         (outs, None, cfg.clients as u64 * COHORT_ROW_BYTES)
     };
 
-    // Merge in input order: histogram addition and counter sums are
-    // both order-fixed, so the report does not depend on scheduling.
-    let mut protected: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); events.len()];
-    let mut unprotected = vec![0u64; events.len()];
-    let mut tally = Tally::default();
-    let mut fetches = 0u64;
-    for out in outs {
-        for (acc, part) in protected.iter_mut().zip(&out.protected) {
-            for (&v, &c) in part {
-                *acc.entry(v).or_insert(0) += c;
-            }
-        }
-        for (acc, part) in unprotected.iter_mut().zip(&out.unprotected) {
-            *acc += part;
-        }
-        tally.merge(&out.tally);
-        fetches += out.fetches;
-    }
+    // Runs and counters are sums, so the report does not depend on
+    // scheduling.
+    let merged = BatchOut::merge(outs, events.len());
     let mut counters = CounterSet::new();
-    tally.add_to(&mut counters);
+    merged.tally.add_to(&mut counters);
     if let Some(tier) = &tier {
         counters.add("mirror.refreshes", tier.completed_refreshes());
         counters.add("mirror.refreshes_skipped", tier.skipped_refreshes());
@@ -543,13 +604,19 @@ pub fn run_population_with_threads(
         .iter()
         .enumerate()
         .map(|(i, event)| {
-            summarize_event(cfg, event, first_versions[i], &protected[i], unprotected[i])
+            summarize_event(
+                cfg,
+                event,
+                first_versions[i],
+                &merged.protected[i],
+                merged.unprotected[i],
+            )
         })
         .collect();
 
     PopulationReport {
         clients: cfg.clients,
-        fetches,
+        fetches: merged.fetches,
         counters,
         cohorts: cohort_rows,
         state_bytes,
@@ -557,7 +624,8 @@ pub fn run_population_with_threads(
     }
 }
 
-/// Summarize one event from its weighted exposure histogram.
+/// Summarize one event from its protected clients' exposures, as
+/// sorted `(exposure_ms, clients)` runs, and its unprotected count.
 ///
 /// Percentiles and the mean run over the *full* population — censored
 /// clients contribute their `horizon - listed_at` lower bound, as
@@ -570,25 +638,20 @@ fn summarize_event(
     cfg: &PopulationConfig,
     event: &ListingEvent,
     first_version: Option<u64>,
-    protected: &BTreeMap<u64, u64>,
+    protected: &[(u64, u64)],
     unprotected: u64,
 ) -> EventReport {
-    let protected_total: u64 = protected.values().sum();
+    let protected_total: u64 = protected.iter().map(|&(_, c)| c).sum();
     let clients = protected_total + unprotected;
     let horizon_ms = (SimTime::ZERO + cfg.horizon)
         .since(event.listed_at)
         .as_millis();
 
     // Full distribution as sorted (exposure_ms, clients) runs. Every
-    // protected exposure is ≤ horizon_ms, so the censored run merges
-    // at the end.
-    let mut runs: Vec<(u64, u64)> = protected.iter().map(|(&v, &c)| (v, c)).collect();
-    if unprotected > 0 {
-        match runs.last_mut() {
-            Some(last) if last.0 == horizon_ms => last.1 += unprotected,
-            _ => runs.push((horizon_ms, unprotected)),
-        }
-    }
+    // protected exposure is ≤ horizon_ms, so the censored run follows
+    // the protected ones.
+    let censored = (unprotected > 0).then_some((horizon_ms, unprotected));
+    let runs = || protected.iter().copied().chain(censored);
 
     let percentile = |p: f64| -> f64 {
         if clients == 0 {
@@ -596,21 +659,18 @@ fn summarize_event(
         }
         let rank = (((p / 100.0) * clients as f64).ceil() as u64).clamp(1, clients);
         let mut seen = 0u64;
-        for &(v, c) in &runs {
+        for (v, c) in runs() {
             seen += c;
             if seen >= rank {
                 return v as f64 / 60_000.0;
             }
         }
-        runs.last().map_or(0.0, |&(v, _)| v as f64 / 60_000.0)
+        runs().last().map_or(0.0, |(v, _)| v as f64 / 60_000.0)
     };
     let mean_exposure_mins = if clients == 0 {
         0.0
     } else {
-        let sum: u128 = runs
-            .iter()
-            .map(|&(v, c)| u128::from(v) * u128::from(c))
-            .sum();
+        let sum: u128 = runs().map(|(v, c)| u128::from(v) * u128::from(c)).sum();
         (sum as f64 / clients as f64) / 60_000.0
     };
 
@@ -620,7 +680,7 @@ fn summarize_event(
     let mut covered = 0u64;
     let mut remaining = protected.iter().peekable();
     while offset <= cfg.sample_window.as_millis() {
-        while let Some(&(&v, &c)) = remaining.peek() {
+        while let Some(&&(v, c)) = remaining.peek() {
             if v <= offset {
                 covered += c;
                 remaining.next();
@@ -932,9 +992,102 @@ mod tests {
         );
     }
 
+    #[test]
+    fn cursors_and_negative_answers_match_the_searches_at_every_boundary() {
+        // The withdrawn-listing feed of tests/report_digests.rs: it grows
+        // every 20 minutes, "listed" joins at minute 40, "withdrawn" is
+        // in the versions published at minutes 60 and 80 only, "never"
+        // never ships. The origin is down from minute 70 to 110, mirror
+        // 1 from minute 50 to 90.
+        let h = |i: u64| (i << 33) | 0x2b2b;
+        let (listed, withdrawn, never) = (h(10_000), h(10_001), h(10_002));
+        let mut server = FeedServer::new(ServerConfig {
+            history_window: 3,
+            ..ServerConfig::default()
+        });
+        for step in 0..=9u64 {
+            let at = SimTime::from_mins(20 * step);
+            let mut hashes: Vec<u64> = (0..200 + 7 * step).map(h).collect();
+            if at >= SimTime::from_mins(40) {
+                hashes.push(listed);
+            }
+            if at >= SimTime::from_mins(60) && at < SimTime::from_mins(100) {
+                hashes.push(withdrawn);
+            }
+            server.publish(hashes, at);
+        }
+        let server = server.with_outages(vec![OutageWindow::new(
+            SimTime::from_mins(70),
+            SimTime::from_mins(110),
+        )]);
+        let cfg = MirrorConfig {
+            mirrors: 4,
+            refresh_every: SimDuration::from_mins(10),
+            outages: TierOutagePlan {
+                outages: vec![TierOutage {
+                    mirror: 1,
+                    window: OutageWindow::new(SimTime::from_mins(50), SimTime::from_mins(90)),
+                }],
+            },
+        };
+        let horizon = SimTime::from_hours(4);
+        let tier = MirrorTier::build(&cfg, &server, horizon);
+        assert!(tier.skipped_refreshes() > 0, "the outages skip refreshes");
+
+        // Every publication and every scheduled refresh, skipped or
+        // not, and 1 ms on either side of each.
+        let every = cfg.refresh_every.as_millis();
+        let mut instants: Vec<u64> = (1..=server.current_version())
+            .map(|v| server.published_at(v).expect("published").as_millis())
+            .collect();
+        for m in 0..u64::from(cfg.mirrors) {
+            let stagger = every * m / u64::from(cfg.mirrors);
+            instants.extend((stagger..=horizon.as_millis()).step_by(every as usize));
+        }
+        let mut steps: Vec<SimTime> = instants
+            .iter()
+            .flat_map(|&ms| [ms.saturating_sub(1), ms, ms + 1])
+            .map(SimTime::from_millis)
+            .collect();
+        steps.sort_unstable();
+        steps.dedup();
+
+        let prefixes = [listed, withdrawn, never].map(prefix_of);
+        let negatives: Vec<Vec<bool>> = prefixes
+            .iter()
+            .map(|&prefix| server.negative_answers(prefix))
+            .collect();
+        for m in 0..tier.mirrors() {
+            let mut origin = TimelineCursor::default();
+            let mut refreshes = TimelineCursor::default();
+            for &t in &steps {
+                let visible = server.version_from(&mut origin, t);
+                assert_eq!(visible, server.version_at(t), "origin at {t}");
+                assert_eq!(
+                    tier.version_from(m, &mut refreshes, t),
+                    tier.version_at(m, t),
+                    "mirror {m} at {t}"
+                );
+                for (e, &prefix) in prefixes.iter().enumerate() {
+                    assert_eq!(
+                        negatives[e][visible as usize - 1],
+                        server.lookup_full_hashes(prefix, t).is_empty(),
+                        "event {e} at {t}"
+                    );
+                }
+            }
+        }
+        // The withdrawn listing is answered both ways over the feed.
+        assert_eq!(
+            negatives[1],
+            [true, true, true, true, false, false, true, true, true, true, true]
+        );
+    }
+
     mod summarize_properties {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeMap;
 
         /// Brute-force reference: expand the weighted histogram to
         /// per-client values and recompute every metric the slow,
@@ -1006,6 +1159,8 @@ mod tests {
                 exposures in proptest::collection::vec((0u64..180, 1u64..5), 0..12),
                 unprotected in 0u64..6,
                 listed_at_mins in 0u64..120,
+                repeats in proptest::collection::vec(0usize..12, 0..4),
+                cuts in proptest::collection::vec(0usize..16, 0..3),
             ) {
                 let horizon = SimDuration::from_hours(3);
                 let cfg = PopulationConfig {
@@ -1025,13 +1180,48 @@ mod tests {
                     .as_millis();
                 // Exposure values in minutes, clamped into the feasible
                 // range (protected exposures never exceed the horizon
-                // lower bound).
+                // lower bound), as unsorted pairs in which `repeats`
+                // adds copies of earlier pairs.
+                let mut pairs: Vec<(u64, u64)> = exposures
+                    .iter()
+                    .map(|&(mins, count)| ((mins * 60_000).min(horizon_ms), count))
+                    .collect();
+                if !pairs.is_empty() {
+                    for r in repeats {
+                        pairs.push(pairs[r % pairs.len()]);
+                    }
+                }
                 let mut hist: BTreeMap<u64, u64> = BTreeMap::new();
-                for (mins, count) in exposures {
-                    let v = (mins * 60_000).min(horizon_ms);
+                for &(v, count) in &pairs {
                     *hist.entry(v).or_insert(0) += count;
                 }
-                let got = summarize_event(&cfg, &event, Some(2), &hist, unprotected);
+                // The pairs arrive in one to three batches, each
+                // finished on its own, then merged; the first batch
+                // carries the censored clients.
+                let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(pairs.len())).collect();
+                bounds.sort_unstable();
+                bounds.push(pairs.len());
+                let mut start = 0;
+                let batches: Vec<BatchOut> = bounds
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, end)| {
+                        let mut out = BatchOut::new(1);
+                        out.protected[0] = pairs[start..end].to_vec();
+                        out.unprotected[0] = if i == 0 { unprotected } else { 0 };
+                        start = end;
+                        out.finish()
+                    })
+                    .collect();
+                let merged = BatchOut::merge(batches, 1);
+                prop_assert!(merged.protected[0].windows(2).all(|w| w[0].0 < w[1].0));
+                let got = summarize_event(
+                    &cfg,
+                    &event,
+                    Some(2),
+                    &merged.protected[0],
+                    merged.unprotected[0],
+                );
                 let want = reference(&cfg, &event, &hist, unprotected);
                 prop_assert_eq!(
                     serde_json::to_string(&got).unwrap(),

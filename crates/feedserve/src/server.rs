@@ -14,7 +14,10 @@
 //! `Tally`. The population walk needs nothing more: it takes no lock,
 //! looks up no counter by string, clones no `Arc` and allocates nothing
 //! per exchange. The client-facing calls build their payloads from the
-//! same decision.
+//! same decision. They find the visible version by a binary search; a
+//! walk, whose clock only grows, steps a `TimelineCursor` forward
+//! instead, and reads its full-hash answers from a table built once by
+//! the same lookup (`FeedServer::negative_answers`).
 
 use crate::diff::PrefixDiff;
 use crate::store::{prefix_of, PrefixStore};
@@ -71,6 +74,42 @@ struct VersionEntry {
     /// `version - lag`. There is one slot per version a diff may start
     /// from, `min(history_window, version - 1)` in all.
     diffs: Box<[OnceLock<CachedDiff>]>,
+}
+
+impl VersionEntry {
+    /// The run of this version's sorted full hashes under `prefix`.
+    fn hashes_under(&self, prefix: u32) -> &[u64] {
+        let full = &self.full_hashes;
+        let start = full.partition_point(|&h| h < u64::from(prefix) << 32);
+        let len = full[start..].partition_point(|&h| prefix_of(h) == prefix);
+        &full[start..start + len]
+    }
+}
+
+/// A forward-only position in a time-ordered list whose first entry
+/// is at `SimTime::ZERO`: the origin's published versions or one
+/// mirror's refreshes. A schedule walk's clock only grows, so each
+/// exchange steps the cursor past the entries that became visible
+/// since the last one instead of searching the whole list.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TimelineCursor(usize);
+
+impl TimelineCursor {
+    /// The last entry of `list` at or before `now`, where `at` gives an
+    /// entry's instant. `now` must not be earlier than the entry the
+    /// cursor stopped at.
+    pub(crate) fn seek<'a, T>(
+        &mut self,
+        list: &'a [T],
+        now: SimTime,
+        at: impl Fn(&T) -> SimTime,
+    ) -> &'a T {
+        debug_assert!(at(&list[self.0]) <= now, "a timeline cursor moved back");
+        while list.get(self.0 + 1).is_some_and(|next| at(next) <= now) {
+            self.0 += 1;
+        }
+        &list[self.0]
+    }
 }
 
 /// What an update fetch returned.
@@ -310,6 +349,13 @@ impl FeedServer {
         &self.entries[idx - 1]
     }
 
+    /// The version visible at `now`, found by stepping `cursor` forward
+    /// from where it last stopped: [`FeedServer::version_at`] for a
+    /// walk whose clock never goes back.
+    pub(crate) fn version_from(&self, cursor: &mut TimelineCursor, now: SimTime) -> u64 {
+        cursor.seek(&self.entries, now, |e| e.published_at).version
+    }
+
     /// Handle an update fetch, counting into the server's own
     /// counters. `client_version` is what the client holds (`None` for
     /// a fresh install), `last_fetch` its previous *accepted* fetch.
@@ -320,16 +366,18 @@ impl FeedServer {
         now: SimTime,
     ) -> UpdateResponse {
         let mut tally = Tally::default();
-        let serve = self.serve(client_version, last_fetch, now, 1, &mut tally);
+        let visible = self.version_at(now);
+        let serve = self.serve(visible, client_version, last_fetch, now, 1, &mut tally);
         self.absorb(&tally);
         self.response(serve)
     }
 
     /// An update fetch at the origin on behalf of `weight` identical
     /// clients: refused inside an outage window, else decided against
-    /// the version visible at `now`.
+    /// `visible`, the version visible at `now`.
     pub(crate) fn serve(
         &self,
+        visible: u64,
         client_version: Option<u64>,
         last_fetch: Option<SimTime>,
         now: SimTime,
@@ -341,8 +389,7 @@ impl FeedServer {
             self.obs.add("feedsrv.unavailable", weight);
             return Serve::Unavailable;
         }
-        let target = self.version_at(now);
-        self.decide(client_version, last_fetch, now, target, weight, tally)
+        self.decide(client_version, last_fetch, now, visible, weight, tally)
     }
 
     /// The serving decision, toward the published version `target`:
@@ -460,8 +507,9 @@ impl FeedServer {
     /// Answer a full-hash lookup as of `now`, counting into the
     /// server's own counters.
     pub fn full_hashes(&self, prefix: u32, now: SimTime) -> FullHashResponse {
+        let hashes = self.lookup_full_hashes(prefix, now).to_vec();
         let mut tally = Tally::default();
-        let hashes = self.lookup_full_hashes(prefix, now, 1, &mut tally).to_vec();
+        self.count_full_hash_lookup(hashes.is_empty(), 1, &mut tally);
         self.absorb(&tally);
         FullHashResponse {
             hashes,
@@ -482,25 +530,29 @@ impl FeedServer {
     }
 
     /// The full hashes under `prefix` in the version visible at `now`,
-    /// as a slice of that version's sorted hashes. Counts the lookup,
-    /// and a negative answer if there is one, on behalf of `weight`
-    /// identical clients.
-    pub(crate) fn lookup_full_hashes(
-        &self,
-        prefix: u32,
-        now: SimTime,
-        weight: u64,
-        tally: &mut Tally,
-    ) -> &[u64] {
+    /// as a slice of that version's sorted hashes.
+    pub(crate) fn lookup_full_hashes(&self, prefix: u32, now: SimTime) -> &[u64] {
+        self.visible_entry(now).hashes_under(prefix)
+    }
+
+    /// Per published version, at index `version - 1`: whether a
+    /// full-hash lookup of `prefix` answers nothing there. A walk
+    /// reads a lookup's answer from this table at its origin cursor.
+    pub(crate) fn negative_answers(&self, prefix: u32) -> Vec<bool> {
+        self.entries
+            .iter()
+            .map(|e| e.hashes_under(prefix).is_empty())
+            .collect()
+    }
+
+    /// Count one full-hash lookup, and its answer if `negative`, on
+    /// behalf of `weight` identical clients.
+    pub(crate) fn count_full_hash_lookup(&self, negative: bool, weight: u64, tally: &mut Tally) {
         tally.add(Counter::FullhashLookups, weight);
         self.obs.add("feedsrv.fullhash_lookups", weight);
-        let full = &self.visible_entry(now).full_hashes;
-        let start = full.partition_point(|&h| h < u64::from(prefix) << 32);
-        let len = full[start..].partition_point(|&h| prefix_of(h) == prefix);
-        if len == 0 {
+        if negative {
             tally.add(Counter::FullhashNegative, weight);
         }
-        &full[start..start + len]
     }
 
     /// Snapshot of the server's counters.

@@ -26,8 +26,9 @@
 //! not allocate per client (no map per batch of clients, no formatted
 //! fork label per client), a cohort walk must allocate a bounded amount
 //! per row (no key string per counter bump), and an exact walk must not
-//! allocate per sync (no list of matching full hashes per protecting
-//! sync). All run on one thread, so the sweep runner calls them inline
+//! allocate per sync or per protected client (no list of matching full
+//! hashes per protecting sync, no tree node per exposure). All run on
+//! one thread, so the sweep runner calls them inline
 //! on the counting thread. The counts are deterministic (same seed,
 //! same calls), so the bounds cannot flake.
 
@@ -71,13 +72,15 @@ const FLEET_BUDGET_PER_REPORT: f64 = 20.8;
 const TABLE_BUILD_BUDGET: u64 = 64;
 
 /// Allocations allowed per cohort row of a cohort walk, table build
-/// included (0.19 measured: the exposure histograms' nodes and the
-/// per-batch buffers).
-const WALK_BUDGET_PER_ROW: f64 = 0.25;
+/// included (0.074 measured: the per-batch buffers and the growth of
+/// each event's exposure pairs; 0.19 while exposures were kept in one
+/// `BTreeMap` per batch and event).
+const WALK_BUDGET_PER_ROW: f64 = 0.08;
 
-/// Allocations allowed per client of an exact walk (0.56 measured, the
-/// same kinds; a full-hash list per protecting sync made it 2.56).
-const EXACT_WALK_BUDGET_PER_CLIENT: f64 = 0.7;
+/// Allocations allowed per client of an exact walk (0.025 measured, the
+/// same kinds; 0.56 with the `BTreeMap` nodes, and 2.56 while every
+/// protecting sync built a list of full hashes).
+const EXACT_WALK_BUDGET_PER_CLIENT: f64 = 0.03;
 
 struct Counting;
 
