@@ -198,6 +198,18 @@ impl FromStr for DomainName {
 mod tests {
     use super::*;
 
+    /// The registry and the resolver cache key on `DomainName` through
+    /// `SymHasher`; these values were recorded before its methods were
+    /// inlined, so equal values mean an unchanged table order.
+    #[test]
+    fn sym_hash_of_a_name_matches_its_recorded_pin() {
+        use phishsim_simnet::BuildSymHasher;
+        use std::hash::BuildHasher;
+        let hash = |s: &str| BuildSymHasher::default().hash_one(DomainName::parse(s).unwrap());
+        assert_eq!(hash("green-energy.com"), 0x1b17_5c32_f191_1bdb);
+        assert_eq!(hash("paypal-secure-login.xyz"), 0xb888_6293_4086_3aad);
+    }
+
     #[test]
     fn parse_valid_names() {
         let d = DomainName::parse("Green-Energy.COM").unwrap();

@@ -97,6 +97,7 @@ impl OutageWindow {
     }
 
     /// Whether `t` falls inside the outage.
+    #[inline]
     pub fn contains(&self, t: SimTime) -> bool {
         t >= self.from && t < self.until
     }
@@ -266,6 +267,9 @@ impl TierOutagePlan {
     }
 
     /// Whether `mirror` is inside one of its outage windows at `t`.
+    /// Inline: a feed walk asks on every client exchange, and an empty
+    /// plan then costs one compare.
+    #[inline]
     pub fn down_at(&self, mirror: u32, t: SimTime) -> bool {
         self.outages
             .iter()

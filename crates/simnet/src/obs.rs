@@ -350,6 +350,14 @@ impl ObsBuffer {
         seq
     }
 
+    fn add(&self, label: &str, n: u64) {
+        self.metrics.lock().add(label, n);
+    }
+
+    fn observe(&self, label: &str, v: u64) {
+        self.metrics.lock().observe(label, v);
+    }
+
     /// Snapshot of every record, in `(at, seq)` order.
     pub fn events(&self) -> Vec<ObsRecord> {
         let mut out = self.events.read().clone();
@@ -431,6 +439,7 @@ impl ObsSink {
     }
 
     /// The backing buffer, when recording.
+    #[inline]
     pub fn buffer(&self) -> Option<&Arc<ObsBuffer>> {
         match self {
             ObsSink::Null => None,
@@ -534,16 +543,21 @@ impl ObsSink {
     }
 
     /// Increment a registry counter by `n`.
+    // `add` and `observe` are inline so that a `Null` sink costs the
+    // caller one compare (a feed walk calls them on every exchange);
+    // the locked recording path stays out of line.
+    #[inline]
     pub fn add(&self, label: &str, n: u64) {
         if let Some(buf) = self.buffer() {
-            buf.metrics.lock().add(label, n);
+            buf.add(label, n);
         }
     }
 
     /// Record one histogram observation.
+    #[inline]
     pub fn observe(&self, label: &str, v: u64) {
         if let Some(buf) = self.buffer() {
-            buf.metrics.lock().observe(label, v);
+            buf.observe(label, v);
         }
     }
 

@@ -299,6 +299,58 @@ mod tests {
         }
     }
 
+    /// The first 40 words (two and a half ChaCha12 blocks) of three
+    /// root streams, recorded before the block function was rewritten
+    /// to keep its state in locals: every stream in the workspace
+    /// derives from these, so any change to the keystream, the counter
+    /// or the seed expansion shows here first.
+    #[test]
+    fn root_streams_match_their_recorded_words() {
+        let recorded: [(u64, [u32; 40]); 3] = [
+            (
+                0,
+                [
+                    0x82b67bca, 0xd18c9d7b, 0xdd8c2eb1, 0x73f1688a, 0x2bbe7197, 0x65b16a72,
+                    0xab5ceb0a, 0x544515e3, 0x7cefd08f, 0xc348ae59, 0xadcb0258, 0x19169280,
+                    0x0513251c, 0xbea27070, 0xf8fca523, 0xa4599b32, 0xe6e15f10, 0x90eb499a,
+                    0xbedb63ec, 0xc07d704b, 0x8222e7fc, 0x0b80d6d7, 0xdf5b06ad, 0x53588c93,
+                    0x4b087ecd, 0x0d560479, 0xd3d241f5, 0x41807d37, 0xc8b0bce9, 0x35ddb463,
+                    0x687f20d9, 0xb280bf30, 0xe49d82c3, 0x8019cf4c, 0xd0da9f85, 0x5f07f260,
+                    0xcafc7aa7, 0x248a5a8f, 0x1c655b08, 0x25ac2b6a,
+                ],
+            ),
+            (
+                17,
+                [
+                    0xed8e84d7, 0xc92a847f, 0xdecd918c, 0x023ce2a0, 0xca684963, 0x16c78bc4,
+                    0xb467665d, 0x2fe22af6, 0xe0795a71, 0x70cb224c, 0x26516609, 0x437b0cae,
+                    0xa398dddc, 0xa8a3c307, 0x0f105a35, 0x886237a9, 0x3c9fcbc2, 0xc50b6e50,
+                    0xb44cc40b, 0x05fcaa1f, 0xe4b8d905, 0x7644b935, 0xb8d3acf4, 0xacf4afb1,
+                    0xf1bc25bc, 0x337ade44, 0xd8f7a57d, 0x45ac6e8e, 0x97aaded6, 0x34c00258,
+                    0x7f9d9dcf, 0x306f66ba, 0x9c2f16a7, 0xb43f62e2, 0x91d9445c, 0xd23f4c94,
+                    0x8a601675, 0xef46a2ab, 0xc10d88d1, 0x25a5939a,
+                ],
+            ),
+            (
+                u64::MAX,
+                [
+                    0x10198c2a, 0xfaad820e, 0xa3a93d15, 0xcbe4ff9d, 0x9978ada3, 0x17872c99,
+                    0xcfc766f4, 0xb06dcc25, 0x47f0c52d, 0x1df25c29, 0x1c828f1f, 0x0ee83609,
+                    0x1229eb29, 0x8fc7a92d, 0x1eca2617, 0xc8a8773a, 0x989bfad9, 0x401a5821,
+                    0x7912e93f, 0x7755e837, 0xedba0b44, 0xb2b14bb8, 0x84a6ec0d, 0x28d2cb2d,
+                    0x628dd148, 0xe24334ad, 0x5c67e3fe, 0xc7d9e171, 0x580aa550, 0xb8e577b5,
+                    0xc93e9d41, 0xd00ea7ed, 0xb7991c7e, 0xeccaa12d, 0x90f356fd, 0x623181df,
+                    0x925734fc, 0x75cf9a60, 0xaed14710, 0xbf705009,
+                ],
+            ),
+        ];
+        for (seed, words) in recorded {
+            let mut rng = DetRng::new(seed);
+            let drawn: Vec<u32> = (0..40).map(|_| rng.next_u32()).collect();
+            assert_eq!(drawn, words, "root stream of seed {seed}");
+        }
+    }
+
     #[test]
     fn different_seeds_differ() {
         let mut a = DetRng::new(1);
@@ -434,6 +486,34 @@ mod tests {
                 assert_fork_indexed_is_spelled_fork(&root, &label, wide);
                 assert_fork_indexed_is_spelled_fork(&root, &label, narrow);
                 assert_fork_indexed_is_spelled_fork(&root, "report-key:r", narrow);
+            }
+        }
+    }
+
+    mod seeding_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A generator that keeps its seed and takes the trait's
+        /// default `seed_from_u64`: the SplitMix64 bytes.
+        struct SeedBytes([u8; 32]);
+
+        impl SeedableRng for SeedBytes {
+            type Seed = [u8; 32];
+            fn from_seed(seed: [u8; 32]) -> Self {
+                SeedBytes(seed)
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn seed_from_u64_is_from_seed_of_the_splitmix_bytes(seed in any::<u64>()) {
+                let mut direct = ChaCha12Rng::seed_from_u64(seed);
+                let mut via_bytes = ChaCha12Rng::from_seed(SeedBytes::seed_from_u64(seed).0);
+                // Past the first block, so the counter words count too.
+                for _ in 0..20 {
+                    prop_assert_eq!(direct.next_u64(), via_bytes.next_u64());
+                }
             }
         }
     }
