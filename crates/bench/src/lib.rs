@@ -1,27 +1,13 @@
 //! # phishsim-bench
 //!
-//! Regeneration harnesses for every table and figure in the paper,
-//! plus criterion performance benches over the substrates.
-//!
-//! Each experiment artifact has a binary:
-//!
-//! | Binary | Paper artifact |
-//! |---|---|
-//! | `table1` | Table 1 — preliminary test |
-//! | `table2` | Table 2 — main experiment |
-//! | `table3` | Table 3 — client-side extensions |
-//! | `figure1`–`figure3` | Figures 1–3 — evasion flow walkthroughs |
-//! | `funnel` | §3 — drop-catch pipeline funnel |
-//! | `baseline_cloaking` | §4 — Oest et al. web-cloaking baseline |
-//! | `traffic_timing` | §4.2 — crawl-traffic timing histogram |
-//! | `kit_probes` | §4.1(3) — OpenPhish kit-probing taxonomy |
-//! | `cache_blindspot` | §2.4 — SB verdict-cache TTL sweep |
-//! | `fleet_sweep` | ROADMAP — crawl-fleet scheduler throughput sweep |
-//! | `ablation_feeds` | DESIGN.md §4.5 — cross-feed edge ablation |
-//! | `ablation_capabilities` | DESIGN.md §4.2 — crawler-capability ablation |
-//!
-//! Every binary prints the paper-layout table and writes a JSON record
-//! under `results/`.
+//! A binary for every table, figure and experiment: each prints the
+//! paper-layout table next to the paper's numbers and writes its JSON
+//! record under `results/`, some a `.runpack` as well. The `MANIFEST` in
+//! `scripts/check.sh` maps every committed artifact to the bin and the
+//! arguments that write it. The crate also holds `seed_search`, which
+//! looks for seeds that reproduce the paper's numbers, and
+//! `phishbench` (`src/bin/phishbench/`), the repository's performance
+//! benchmark.
 
 pub mod seedsearch;
 

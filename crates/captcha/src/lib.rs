@@ -203,11 +203,6 @@ impl CaptchaProvider {
         state.used = true;
         VerifyOutcome::ok()
     }
-
-    /// Number of tokens ever issued (monitoring/testing).
-    pub fn tokens_issued(&self) -> usize {
-        self.tokens.len()
-    }
 }
 
 /// The widget markup a protected page embeds (step 2 of the flow).

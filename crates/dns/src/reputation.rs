@@ -322,11 +322,6 @@ impl ArchiveService {
     pub fn has_snapshot(&self, name: &DomainName) -> bool {
         self.snapshots.get(name).copied().unwrap_or(0) > 0
     }
-
-    /// Number of snapshots on record.
-    pub fn snapshot_count(&self, name: &DomainName) -> u32 {
-        self.snapshots.get(name).copied().unwrap_or(0)
-    }
 }
 
 /// The search-engine index: `site:domain` result counts.

@@ -165,11 +165,6 @@ manifest:
     pub fn host(&self) -> &str {
         self.bundle.host()
     }
-
-    /// Number of legitimate cover pages.
-    pub fn cover_page_count(&self) -> usize {
-        self.bundle.page_count()
-    }
 }
 
 impl Handler for CompromisedSite {

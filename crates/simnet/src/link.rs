@@ -375,18 +375,6 @@ pub enum FaultOutcome {
     Outage,
 }
 
-impl FaultOutcome {
-    /// Whether a client observing this outcome may reasonably retry:
-    /// drops, error responses, and outages are transient; a (possibly
-    /// truncated) delivery is not.
-    pub fn is_transient_failure(&self) -> bool {
-        matches!(
-            self,
-            FaultOutcome::Dropped | FaultOutcome::ErrorResponse | FaultOutcome::Outage
-        )
-    }
-}
-
 /// Clamp a probability into `[0, 1]`, mapping NaN to 0.
 fn clamp_probability(p: f64) -> f64 {
     if p.is_nan() {

@@ -1,21 +1,19 @@
 #!/usr/bin/env bash
-# Repo gate: format, lints, tier-1 tests, quick perf baseline, the
-# determinism smokes, and replay verification of the committed
-# .runpack artifacts.
+# Repo gate: format, lints, the docs' references, tier-1 tests, the
+# determinism smokes, the regeneration of every committed artifact, and
+# replay verification of the committed .runpack artifacts.
 #
 # Composable stages, so CI tiers and reviewers run the same script:
 #
 #   ./scripts/check.sh                # everything (pre-merge gate)
-#   ./scripts/check.sh --tier1        # fmt + workspace clippy + build + tests, release and debug (>= TEST_FLOOR pass each), vendored crates' tests
+#   ./scripts/check.sh --tier1        # fmt + workspace clippy + doc references + build + tests, release and debug (>= TEST_FLOOR pass each), vendored crates' tests
 #   ./scripts/check.sh --determinism  # thread-count smokes
 #   ./scripts/check.sh --regen        # rerun the artifact manifest, results/ must equal HEAD
-#   ./scripts/check.sh --perf         # quick perf baseline + scaling smoke
 #   ./scripts/check.sh --replay       # verify committed .runpack artifacts
 #
 # Stages compose: `./scripts/check.sh --determinism --replay` runs both.
-# The perf step writes results/BENCH_2.json..BENCH_4.json in --quick
-# mode; diff against the committed baselines by hand when a change is
-# perf-relevant. Determinism smokes run each sweep at two thread counts
+# Performance is measured by phishbench (crates/bench/src/bin/phishbench),
+# not by this script. Determinism smokes run each sweep at two thread counts
 # and require its records and packs to be byte-identical. They run at
 # reduced sizes, so each smoke keeps what it wrote in
 # target/smoke-records/ and puts back the committed files it overwrote.
@@ -28,20 +26,18 @@ cd "$(dirname "$0")/.."
 run_tier1=0
 run_determinism=0
 run_regen=0
-run_perf=0
 run_replay=0
 if [ "$#" -eq 0 ]; then
-  run_tier1=1 run_determinism=1 run_regen=1 run_perf=1 run_replay=1
+  run_tier1=1 run_determinism=1 run_regen=1 run_replay=1
 fi
 for arg in "$@"; do
   case "$arg" in
     --tier1) run_tier1=1 ;;
     --determinism) run_determinism=1 ;;
     --regen) run_regen=1 ;;
-    --perf) run_perf=1 ;;
     --replay) run_replay=1 ;;
     *)
-      echo "unknown stage: $arg (expected --tier1 | --determinism | --regen | --perf | --replay)" >&2
+      echo "unknown stage: $arg (expected --tier1 | --determinism | --regen | --replay)" >&2
       exit 2
       ;;
   esac
@@ -51,7 +47,7 @@ done
 # `default-members` makes the plain `cargo test` run every crate's unit
 # tests, proptests and doctests plus the root package's; raise the floor
 # when adding tests, never lower it to get a pass.
-TEST_FLOOR=836
+TEST_FLOOR=837
 
 # Where the determinism smokes leave their reduced-size records and
 # packs (CI uploads this directory).
@@ -145,6 +141,8 @@ tier1() {
   echo "==> clippy (whole workspace, all targets)"
   cargo clippy --release --workspace --all-targets -- -D warnings
 
+  doc_refs
+
   echo "==> tier-1: build + tests (release)"
   cargo build --release
   tier1_tests release --release
@@ -168,6 +166,65 @@ vendor_tests() {
   done
 }
 
+# True when any of the given paths exists (unmatched globs stay literal).
+found() {
+  local f
+  for f in "$@"; do [ -e "$f" ] && return 0; done
+  return 1
+}
+
+# The docs must name only what exists: every backticked path under
+# crates/, src/, tests/, scripts/, results/, examples/ or vendor/, every
+# `--bin`/`--bench` target, and every backticked `crate::module[::item]`
+# of a workspace crate, whose module file (or, for a root item, lib.rs)
+# must hold the item as a word outside comments. Names every stale
+# reference, then fails.
+doc_refs() {
+  echo "==> doc references"
+  local doc ref path kind name file item stale=()
+  local mod_re='^(phishsim_)?([a-z]+)::([a-z_0-9]+)(::([A-Za-z_0-9]+))?'
+  for doc in README.md DESIGN.md EXPERIMENTS.md results/README.md; do
+    while read -r kind name; do
+      case "$kind" in
+        --bin) found crates/*/src/bin/"$name".rs crates/*/src/bin/"$name"/main.rs src/bin/"$name".rs ;;
+        --bench) found crates/*/benches/"$name".rs benches/"$name".rs ;;
+      esac || stale+=("$doc: $kind $name")
+    done < <(tr '\n' ' ' <"$doc" | grep -oE -- '--(bin|bench) [A-Za-z0-9_]+' | sort -u)
+    # Inline code spans (fenced blocks dropped, lines joined so a span
+    # may wrap); `crate::{a,b}` spans split into one span per module.
+    while IFS= read -r ref; do
+      path="${ref%% *}" path="${path%%:*}"
+      case "$path" in
+        *'*'* | *'<'*) ;;
+        crates/* | src/* | tests/* | scripts/* | results/* | examples/* | vendor/*)
+          [ -e "$path" ] || stale+=("$doc: $ref") ;;
+      esac
+      [[ $ref =~ $mod_re ]] && [ -d "crates/${BASH_REMATCH[2]}" ] || continue
+      file="crates/${BASH_REMATCH[2]}/src/${BASH_REMATCH[3]}" item="${BASH_REMATCH[5]}"
+      if [ -e "$file.rs" ]; then
+        file="$file.rs"
+      elif [ -e "$file/mod.rs" ]; then
+        file="$file/mod.rs"
+      else
+        file="crates/${BASH_REMATCH[2]}/src/lib.rs" item="${BASH_REMATCH[3]}"
+      fi
+      [ -z "$item" ] || awk -v w="$item" '!/^[[:space:]]*\/\// &&
+        $0 ~ "(^|[^A-Za-z0-9_])" w "([^A-Za-z0-9_]|$)" { f = 1; exit } END { exit !f }' "$file" ||
+        stale+=("$doc: $ref")
+    done < <(awk '/^[[:space:]]*```/ { fence = !fence; next } !fence { printf "%s ", $0 }' "$doc" |
+      awk -v RS='`' 'NR % 2 == 0 && /^[a-z_]+::\{[^}]*\}$/ {
+          p = substr($0, 1, index($0, "{") - 1); n = split(substr($0, length(p) + 2), m, /[,} ]+/)
+          for (i = 1; i < n; i++) print p m[i]; next }
+        NR % 2 == 0' | sort -u)
+  done
+  if [ "${#stale[@]}" -gt 0 ]; then
+    printf '  %s\n' "${stale[@]}" >&2
+    echo "${#stale[@]} stale reference(s) in the docs" >&2
+    exit 1
+  fi
+  echo "every path, target and module the docs name exists"
+}
+
 # Run the test suite with the given cargo flags and require TEST_FLOOR
 # passes: tier1_tests LABEL [CARGO_FLAGS...]
 tier1_tests() {
@@ -182,20 +239,6 @@ tier1_tests() {
     exit 1
   fi
   echo "tier-1 ($label): $passed tests passed (floor $TEST_FLOOR)"
-}
-
-perf() {
-  echo "==> perf baseline (quick)"
-  cargo run --release -p phishsim-bench --bin bench_baseline -- --quick
-
-  echo "==> thread-scaling smoke (BENCH_4)"
-  # The quick baseline above ran the scaling curve at 1/2/4/8/16 worker
-  # threads with byte-identity asserted at every point, and — only when
-  # the host physically has the cores — speedup floors asserted
-  # in-binary (>=2x at 4 threads on >=4 cores, >=4x at 8 threads on
-  # >=8 cores). Confirm the artifact landed and records what it ran on.
-  grep -q '"host_parallelism"' results/BENCH_4.json
-  echo "BENCH_4.json present (host_parallelism: $(grep -o '"host_parallelism": *[0-9]*' results/BENCH_4.json | grep -o '[0-9]*$'), $(nproc) per nproc)"
 }
 
 # Rerun every row of the MANIFEST, require each artifact to equal the
@@ -299,7 +342,6 @@ replay() {
 }
 
 [ "$run_tier1" -eq 1 ] && tier1
-[ "$run_perf" -eq 1 ] && perf
 [ "$run_determinism" -eq 1 ] && determinism
 [ "$run_regen" -eq 1 ] && regen
 [ "$run_replay" -eq 1 ] && replay

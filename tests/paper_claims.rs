@@ -3,6 +3,7 @@
 //! any of these fail, the reproduction no longer reproduces.
 
 use phishsim::prelude::*;
+use phishsim::simnet::FaultInjector;
 
 #[test]
 fn table2_shape_holds_across_seeds() {
@@ -162,4 +163,34 @@ fn main_experiment_traffic_mostly_in_first_two_hours() {
         "paper: ~90 % of traffic within 2 h; measured {:.0}%",
         r.traffic_within_2h * 100.0
     );
+}
+
+#[test]
+fn chaos_loses_detections_but_never_invents_them() {
+    // Dropped, failed and truncated exchanges can spoil a crawl that
+    // would have convicted a page, but must never turn a miss into a
+    // detection. Paper volume at the default seed, then the fast
+    // config across seeds; at least one run must lose a detection, or
+    // the bound was never put to the test.
+    let fast = (1..=6).chain([DEFAULT_SEED]).map(|seed| MainConfig {
+        seed,
+        ..MainConfig::fast()
+    });
+    let mut runs_that_lost = 0;
+    for cfg in std::iter::once(MainConfig::paper()).chain(fast) {
+        let chaos = MainConfig {
+            faults: FaultInjector::chaos_profile(),
+            ..cfg.clone()
+        };
+        let clean = run_main_experiment(&cfg).table.total.hits;
+        let faulty = run_main_experiment(&chaos).table.total.hits;
+        assert!(
+            faulty <= clean,
+            "seed {} at volume {}: {faulty} detections under chaos, {clean} without",
+            cfg.seed,
+            cfg.volume_scale
+        );
+        runs_that_lost += usize::from(faulty < clean);
+    }
+    assert!(runs_that_lost > 0, "chaos never cost a detection");
 }

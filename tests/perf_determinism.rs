@@ -39,13 +39,13 @@ fn sweep_cell(seed: &u64) -> String {
 fn sweep_json_is_byte_identical_across_thread_counts() {
     let seeds: Vec<u64> = (0..6).collect();
     let serial = run_sweep_with_threads(&seeds, 1, sweep_cell);
-    let parallel = run_sweep_with_threads(&seeds, 4, sweep_cell);
-    assert_eq!(
-        serial, parallel,
-        "1 thread and 4 threads must agree byte-for-byte"
-    );
-    let wider = run_sweep_with_threads(&seeds, 16, sweep_cell);
-    assert_eq!(serial, wider, "oversubscribed thread count must agree too");
+    for threads in [2, 4, 8, 16] {
+        assert_eq!(
+            serial,
+            run_sweep_with_threads(&seeds, threads, sweep_cell),
+            "1 thread and {threads} threads must agree byte-for-byte"
+        );
+    }
 }
 
 #[test]
